@@ -45,7 +45,7 @@ def main(factor: int = 3) -> None:
         start = time.perf_counter()
         kb = KnowledgeBase.compile(blown_up, algorithm=algorithm)
         elapsed = time.perf_counter() - start
-        answers[algorithm] = kb.certain_base_facts(instance)
+        answers[algorithm] = kb.session(instance).certain_base_facts()
         print(
             f"[{algorithm:6s}] {kb.rewriting.output_size:3d} Datalog rules in "
             f"{elapsed:.3f}s; {len(answers[algorithm])} certain base facts"

@@ -54,13 +54,14 @@ def main() -> None:
 
     x = Variable("x")
     equipment_query = ConjunctiveQuery((x,), (Predicate("Equipment", 1)(x),))
-    answers = kb.answer(equipment_query, program.instance)
+    session = kb.session(program.instance)
+    answers = session.answer(equipment_query)
     print("\nAll pieces of equipment known to the system:")
     for (term,) in sorted(answers, key=str):
         print(f"  {term}")
 
     print("\nAll entailed base facts:")
-    for fact in sorted(kb.certain_base_facts(program.instance), key=str):
+    for fact in sorted(session.certain_base_facts(), key=str):
         print(f"  {format_fact(fact)}")
 
 

@@ -60,21 +60,6 @@ from .rewriting.rewriter import available_algorithms
 #: only produce noise failures
 MIN_GATE_WALL_SECONDS = 0.5
 
-#: mirror of :data:`repro.harness.perfcapture.SCENARIO_NAMES`, inlined so
-#: building the parser does not import the harness (every CLI invocation
-#: pays parser-build time); a harness test asserts the two stay in sync
-PERF_SCENARIO_NAMES = (
-    "separation_families",
-    "fulldr_comparison",
-    "end_to_end",
-    "incremental_updates",
-    "churn",
-    "skolem_chase",
-    "guarded_oracle",
-    "serving_throughput",
-    "demand_queries",
-)
-
 
 class _SessionUpdateAction(argparse.Action):
     """Collect ``--delta``/``--retract`` as one ordered list of (op, path).
@@ -487,12 +472,24 @@ def _command_stats(args: argparse.Namespace) -> int:
 
 
 def _command_perf(args: argparse.Namespace) -> int:
+    """Capture, report, then gate: exit 3 on ``--max-regression``, 4 on checks.
+
+    Every run evaluates the declared checks of the scenarios it captured
+    (:func:`repro.harness.perfcapture.failed_checks`); a failing one is
+    printed by name and the run exits 4.
+    """
     import json
 
+    from .harness.perfcapture import failed_checks, select_scenarios
+    from .harness.reports import render_capture
     from .harness.runner import run_perf_capture
-    from .harness.reports import perf_report
 
-    # validate both paths before paying for the capture run
+    # validate names and paths before paying for the capture run
+    try:
+        select_scenarios(args.scenario)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     previous = None
     if args.baseline:
         baseline_path = Path(args.baseline)
@@ -529,59 +526,67 @@ def _command_perf(args: argparse.Namespace) -> int:
         baseline=previous,
         scenarios=args.scenario,
     )
-    print(perf_report(payload))
+    print(render_capture(payload))
     print(f"# written to {args.output}", file=sys.stderr)
     if args.step_summary:
-        from .harness.reports import step_summary_markdown
-
         # append (GitHub writes other steps' summaries to the same file)
         with open(args.step_summary, "a", encoding="utf-8") as handle:
-            handle.write(step_summary_markdown(payload) + "\n")
+            handle.write(render_capture(payload, markdown=True) + "\n")
         print(f"# step summary appended to {args.step_summary}", file=sys.stderr)
+    status = 0
     if args.max_regression is not None:
-        comparison = payload.get("speedup_vs_baseline_file", {})
-        if "error" in comparison:
-            print(f"error: {comparison['error']}", file=sys.stderr)
-            return 2
-        newly_timed_out = _newly_timed_out_scenarios(payload)
-        if newly_timed_out:
-            print(
-                "error: scenario(s) newly timed out vs baseline: "
-                f"{', '.join(newly_timed_out)}",
-                file=sys.stderr,
-            )
-            return 3
-        # ratio is old/new wall time: 1.0 means unchanged, <1.0 slower.
-        floor = 1.0 / (1.0 + args.max_regression / 100.0)
-        scenarios = payload.get("scenarios", {})
-        regressed = {}
-        for name, ratio in comparison.items():
-            new_wall = scenarios.get(name, {}).get("wall_seconds") or 0.0
-            old_wall = new_wall * ratio
-            if max(new_wall, old_wall) < MIN_GATE_WALL_SECONDS:
-                print(
-                    f"# gate: skipping {name} (wall time below "
-                    f"{MIN_GATE_WALL_SECONDS:g}s, too noisy to compare)",
-                    file=sys.stderr,
-                )
-                continue
-            if ratio < floor:
-                regressed[name] = ratio
-        if regressed:
-            rendered = ", ".join(
-                f"{name} {round((1 / ratio - 1) * 100)}% slower"
-                for name, ratio in sorted(regressed.items())
-            )
-            print(
-                f"error: scenarios regressed more than {args.max_regression:g}% "
-                f"vs baseline: {rendered}",
-                file=sys.stderr,
-            )
-            return 3
+        status = _regression_gate(payload, args.max_regression)
+    failures = failed_checks(payload)
+    for scenario, check in failures:
+        print(f"error: check failed: {scenario}: {check}", file=sys.stderr)
+    return 4 if failures else status
+
+
+def _regression_gate(payload: dict, max_regression: float) -> int:
+    """The ``--max-regression`` gate: 0 if it holds, 3 on a regression, 2 on error."""
+    comparison = payload.get("speedup_vs_baseline_file", {})
+    if "error" in comparison:
+        print(f"error: {comparison['error']}", file=sys.stderr)
+        return 2
+    newly_timed_out = _newly_timed_out_scenarios(payload)
+    if newly_timed_out:
         print(
-            f"# no scenario regressed more than {args.max_regression:g}% vs baseline",
+            "error: scenario(s) newly timed out vs baseline: "
+            f"{', '.join(newly_timed_out)}",
             file=sys.stderr,
         )
+        return 3
+    # ratio is old/new wall time: 1.0 means unchanged, <1.0 slower.
+    floor = 1.0 / (1.0 + max_regression / 100.0)
+    scenarios = payload.get("scenarios", {})
+    regressed = {}
+    for name, ratio in comparison.items():
+        new_wall = scenarios.get(name, {}).get("wall_seconds") or 0.0
+        old_wall = new_wall * ratio
+        if max(new_wall, old_wall) < MIN_GATE_WALL_SECONDS:
+            print(
+                f"# gate: skipping {name} (wall time below "
+                f"{MIN_GATE_WALL_SECONDS:g}s, too noisy to compare)",
+                file=sys.stderr,
+            )
+            continue
+        if ratio < floor:
+            regressed[name] = ratio
+    if regressed:
+        rendered = ", ".join(
+            f"{name} {round((1 / ratio - 1) * 100)}% slower"
+            for name, ratio in sorted(regressed.items())
+        )
+        print(
+            f"error: scenarios regressed more than {max_regression:g}% "
+            f"vs baseline: {rendered}",
+            file=sys.stderr,
+        )
+        return 3
+    print(
+        f"# no scenario regressed more than {max_regression:g}% vs baseline",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -768,7 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf_parser = subparsers.add_parser(
         "perf",
-        help="run the recorded benchmark scenarios and emit BENCH_rewriting.json",
+        help="run the recorded benchmark scenarios, emit BENCH_rewriting.json, "
+        "and exit 4 if a scenario fails one of its declared checks",
     )
     perf_parser.add_argument(
         "-o",
@@ -784,10 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf_parser.add_argument(
         "--scenario",
         action="append",
-        choices=PERF_SCENARIO_NAMES,
         metavar="NAME",
-        help="capture only this scenario (repeatable; default: all of "
-        f"{', '.join(PERF_SCENARIO_NAMES)})",
+        help="capture only this scenario (repeatable; default: all of them)",
     )
     perf_parser.add_argument(
         "--baseline",
@@ -796,8 +800,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf_parser.add_argument(
         "--step-summary",
         metavar="PATH",
-        help="append a markdown summary table (wall times, speedups, join-plan "
-        "stats) to this file — CI passes $GITHUB_STEP_SUMMARY",
+        help="append the capture report as markdown tables to this file — CI "
+        "passes $GITHUB_STEP_SUMMARY",
     )
     perf_parser.add_argument(
         "--max-regression",

@@ -9,7 +9,6 @@ from .engine import (
     materialize,
     naive_reference_fixpoint,
 )
-from .index import FactStore
 from .magic import (
     DemandAnswer,
     DemandReport,
@@ -30,6 +29,7 @@ from .query import (
     parse_query,
 )
 from .session import ReasoningSession
+from .store import FactStore
 
 __all__ = [
     "BindingBatch",

@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
 from ..logic.atoms import Atom
 from ..logic.terms import Term, Variable
 from .engine import MaterializationResult
-from .index import FactStore
+from .store import FactStore
 from .plan import JoinPlanStats, body_supports_plan, compiled_body_plan
 
 #: lifetime counters for top-level query evaluation (shares the join

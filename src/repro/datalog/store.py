@@ -36,8 +36,7 @@ ID-encoding invariants
 The base/derived bookkeeping contract (DRed support) is unchanged from the
 previous object-encoded store: base facts are the caller-asserted EDB
 (``base_facts() ⊆ facts()``), a fact can be base *and* derivable, and
-removing a fact discards its base mark.  :mod:`repro.datalog.index`
-re-exports :class:`FactStore` for compatibility with older imports.
+removing a fact discards its base mark.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from .reports import (
     format_table,
     full_figure_report,
     pairwise_report,
-    perf_report,
+    render_capture,
     table1_report,
 )
 _LAZY_PERFCAPTURE = ("capture_perf", "compare_captures", "write_bench_json")
@@ -43,7 +43,7 @@ __all__ = [
     "cactus_report",
     "capture_perf",
     "compare_captures",
-    "perf_report",
+    "render_capture",
     "run_perf_capture",
     "write_bench_json",
     "cactus_series",

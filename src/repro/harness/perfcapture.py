@@ -22,6 +22,13 @@ loaded out of total after one demand answer).  Every future
 PR reruns the capture and compares against the recorded trajectory; see the
 "Recording performance" section of ROADMAP.md.
 
+Each scenario is one :class:`Scenario` declaration in :data:`SCENARIOS`:
+its name, its ``capture_*`` function, the keyword arguments of its smoke
+size, and its named :class:`Check` gates.  :func:`failed_checks` evaluates
+the gates of every scenario a capture holds (plus :data:`CAPTURE_CHECKS` on
+an unfiltered one); ``python -m repro perf`` prints each failing check by
+name and exits 4.
+
 The module also embeds the *pre-change* wall time of the separation-families
 workload, measured on the unoptimized seed saturation loop, so the JSON
 itself documents the speedup of the interning + indexed-lookup overhaul.
@@ -31,8 +38,9 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..logic.interning import clear_intern_caches, clear_intern_tables, intern_stats
 from ..rewriting.base import RewritingSettings, SaturationStatistics
@@ -67,25 +75,13 @@ PRE_CHANGE_END_TO_END_MATERIALIZE_SECONDS = 0.1039
 SEPARATION_NS: Tuple[int, ...] = (2, 3, 4, 5)
 RAW_SETTINGS = RewritingSettings(use_subsumption=False, use_lookahead=False)
 
-#: the recorded scenarios, in capture order; ``perf --scenario NAME`` (and the
-#: ``scenarios=`` parameter of :func:`capture_perf`) accepts these names
-SCENARIO_NAMES: Tuple[str, ...] = (
-    "separation_families",
-    "fulldr_comparison",
-    "end_to_end",
-    "incremental_updates",
-    "churn",
-    "skolem_chase",
-    "guarded_oracle",
-    "serving_throughput",
-    "demand_queries",
-)
-
 #: every scenario payload carries a ``status`` flag so a baseline comparison
 #: can tell a genuinely slower run from one that newly finishes (or newly
 #: times out) and therefore measures different work
 STATUS_COMPLETED = "completed"
 STATUS_TIMED_OUT = "timed_out"
+
+SCHEMA = "bench-rewriting/v1"
 
 
 def _accumulate(total: Dict[str, float], stats: SaturationStatistics) -> None:
@@ -262,6 +258,46 @@ def _merge_fact_store_stats(
         total[key] = total.get(key, 0) + int(value)
 
 
+def _suite(suite_size: int, max_axioms: int):
+    """The ontology-suite inputs of the store-touching scenarios."""
+    from ..workloads.ontology_suite import generate_suite
+
+    return generate_suite(
+        count=suite_size, seed=2022, min_axioms=12, max_axioms=max_axioms
+    )
+
+
+def _rewrite_suite(suite_size: int, max_axioms: int, timeout_seconds: float):
+    """ExbDR-rewrite the suite: ``(completed, all_completed)``.
+
+    ``completed`` pairs each suite item with its completed rewriting,
+    largest output first, so ``completed[:top_k]`` takes the biggest
+    programs.
+    """
+    settings = RewritingSettings(timeout_seconds=timeout_seconds)
+    completed = []
+    all_completed = True
+    for item in _suite(suite_size, max_axioms):
+        result = rewrite(item.tgds, algorithm="exbdr", settings=settings)
+        all_completed = all_completed and result.completed
+        if result.completed:
+            completed.append((item, result))
+    completed.sort(key=lambda pair: pair[1].output_size, reverse=True)
+    return completed, all_completed
+
+
+def _instance(item, fact_count: int):
+    """The generated base instance of one suite item."""
+    from ..workloads.instances import generate_instance
+
+    return generate_instance(
+        item.tgds,
+        fact_count=fact_count,
+        constant_count=max(50, fact_count // 10),
+        seed=int(item.identifier),
+    )
+
+
 def capture_end_to_end(
     suite_size: int = 6,
     max_axioms: int = 60,
@@ -272,19 +308,14 @@ def capture_end_to_end(
     """The ``bench_table2_end_to_end.py`` workload: rewrite once, materialize."""
     from ..datalog.engine import compiled_engine
     from ..datalog.plan import JoinPlanStats
-    from ..workloads.instances import generate_instance
-    from ..workloads.ontology_suite import generate_suite
 
     settings = RewritingSettings(timeout_seconds=timeout_seconds)
     wall_start = time.perf_counter()
-    suite = generate_suite(
-        count=suite_size, seed=2022, min_axioms=12, max_axioms=max_axioms
-    )
     totals = _new_totals()
     completed = []
     all_completed = True
     rewrite_wall = 0.0
-    for item in suite:
+    for item in _suite(suite_size, max_axioms):
         start = time.perf_counter()
         result = rewrite(item.tgds, algorithm="exbdr", settings=settings)
         rewrite_wall += time.perf_counter() - start
@@ -300,12 +331,7 @@ def capture_end_to_end(
     plan_shapes: List[str] = []
     plans_compiled = 0
     for item, rewriting in completed[:top_k]:
-        instance = generate_instance(
-            item.tgds,
-            fact_count=fact_count,
-            constant_count=max(50, fact_count // 10),
-            seed=int(item.identifier),
-        )
+        instance = _instance(item, fact_count)
         engine = compiled_engine(rewriting.program())
         start = time.perf_counter()
         materialized = engine.materialize(instance)
@@ -378,22 +404,9 @@ def capture_incremental_updates(
     from ..datalog import DatalogProgram, ReasoningSession, materialize
     from ..datalog.engine import compiled_engine
     from ..datalog.plan import JoinPlanStats
-    from ..workloads.instances import generate_instance
-    from ..workloads.ontology_suite import generate_suite
 
-    settings = RewritingSettings(timeout_seconds=timeout_seconds)
     wall_start = time.perf_counter()
-    suite = generate_suite(
-        count=suite_size, seed=2022, min_axioms=12, max_axioms=max_axioms
-    )
-    completed = []
-    all_completed = True
-    for item in suite:
-        result = rewrite(item.tgds, algorithm="exbdr", settings=settings)
-        all_completed = all_completed and result.completed
-        if result.completed:
-            completed.append((item, result))
-    completed.sort(key=lambda pair: pair[1].output_size, reverse=True)
+    completed, all_completed = _rewrite_suite(suite_size, max_axioms, timeout_seconds)
     rows = []
     full_total = 0.0
     delta_total = 0.0
@@ -403,12 +416,7 @@ def capture_incremental_updates(
     plans_compiled = 0
     for item, rewriting in completed[:top_k]:
         program = DatalogProgram(rewriting.datalog_rules)
-        instance = generate_instance(
-            item.tgds,
-            fact_count=fact_count,
-            constant_count=max(50, fact_count // 10),
-            seed=int(item.identifier),
-        )
+        instance = _instance(item, fact_count)
         facts = sorted(instance, key=str)
         delta_size = max(1, int(len(facts) * delta_fraction))
         base, delta = facts[:-delta_size], facts[-delta_size:]
@@ -473,7 +481,7 @@ def capture_incremental_updates(
         if delta_total
         else None,
         # deliberately False when nothing completed: an empty measurement
-        # must not read as "verified consistent" downstream (CI asserts this)
+        # must not read as "verified consistent" downstream (a declared check)
         "all_consistent": bool(rows) and all(row["consistent"] for row in rows),
     }
 
@@ -503,22 +511,9 @@ def capture_churn(
     removed, and over-deletion/re-derivation rounds.
     """
     from ..datalog import DatalogProgram, ReasoningSession, materialize
-    from ..workloads.instances import generate_instance
-    from ..workloads.ontology_suite import generate_suite
 
-    settings = RewritingSettings(timeout_seconds=timeout_seconds)
     wall_start = time.perf_counter()
-    suite = generate_suite(
-        count=suite_size, seed=2022, min_axioms=12, max_axioms=max_axioms
-    )
-    completed = []
-    all_completed = True
-    for item in suite:
-        result = rewrite(item.tgds, algorithm="exbdr", settings=settings)
-        all_completed = all_completed and result.completed
-        if result.completed:
-            completed.append((item, result))
-    completed.sort(key=lambda pair: pair[1].output_size, reverse=True)
+    completed, all_completed = _rewrite_suite(suite_size, max_axioms, timeout_seconds)
     rows = []
     incremental_total = 0.0
     full_total = 0.0
@@ -533,12 +528,7 @@ def capture_churn(
     }
     for item, rewriting in completed[:top_k]:
         program = DatalogProgram(rewriting.datalog_rules)
-        instance = generate_instance(
-            item.tgds,
-            fact_count=fact_count,
-            constant_count=max(50, fact_count // 10),
-            seed=int(item.identifier),
-        )
+        instance = _instance(item, fact_count)
         facts = sorted(instance, key=str)
         chunk = max(1, int(len(facts) * churn_fraction))
         add_ops = max(1, op_count // 2)
@@ -634,7 +624,7 @@ def capture_churn(
         if incremental_total
         else None,
         # deliberately False when nothing completed: an empty measurement
-        # must not read as "verified consistent" downstream (CI asserts this)
+        # must not read as "verified consistent" downstream (a declared check)
         "all_consistent": bool(rows) and all_consistent,
     }
 
@@ -716,7 +706,7 @@ def capture_skolem_chase(
     somewhat faster than the true pre-change code; see the
     ``pre_change_note`` in the payload).  Fact-set equality of the two runs
     is recorded per row (``consistent``) and as the scenario-level
-    ``all_consistent`` flag, which CI's sanity check and the harness tests
+    ``all_consistent`` flag, which the scenario's declared checks and tests
     enforce — the capture itself never raises, so a broken run still yields
     an inspectable payload.  The merged per-run counters of the semi-naive
     engine are recorded as the ``chase_plan`` block (counters are summed
@@ -823,7 +813,7 @@ def capture_guarded_oracle(
     :class:`GuardedChaseReasoner` and the retained pre-change
     :class:`ReferenceGuardedReasoner` (each timed best of ``repeats``, on a
     fresh reasoner per repeat), recording whether their entailed-base-fact
-    sets agree (``all_consistent``, enforced by CI and the harness tests);
+    sets agree (``all_consistent``, a declared check);
     ``speedup_vs_pre_change`` is a live same-machine measurement like the
     ``skolem_chase`` scenario's.  The worklist engine's counters (types
     closed vs reused, per-type delta rounds and sizes, trigger firings,
@@ -923,9 +913,8 @@ def capture_serving_throughput(
     earlier scenarios in a full capture does not skew the event loop.
     Every concurrent response (from every repeat, not just the best one) is
     checked against a fresh single-threaded oracle at the generation the
-    server stamped on it;
-    ``stale_free`` records the outcome (enforced by CI's sanity check — a
-    cached answer surviving a retraction would flip it false).
+    server stamped on it; ``stale_free`` records the outcome (a declared
+    check — a cached answer surviving a retraction would flip it false).
     """
     import asyncio
 
@@ -934,22 +923,9 @@ def capture_serving_throughput(
     from ..logic.printer import format_fact
     from ..serve.protocol import encode_answers
     from ..serve.server import ReasoningServer, ServedKB
-    from ..workloads.instances import generate_instance
-    from ..workloads.ontology_suite import generate_suite
 
-    settings = RewritingSettings(timeout_seconds=timeout_seconds)
     wall_start = time.perf_counter()
-    suite = generate_suite(
-        count=suite_size, seed=2022, min_axioms=12, max_axioms=max_axioms
-    )
-    completed = []
-    all_completed = True
-    for item in suite:
-        result = rewrite(item.tgds, algorithm="exbdr", settings=settings)
-        all_completed = all_completed and result.completed
-        if result.completed:
-            completed.append((item, result))
-    completed.sort(key=lambda pair: pair[1].output_size, reverse=True)
+    completed, all_completed = _rewrite_suite(suite_size, max_axioms, timeout_seconds)
     if not completed:
         return {
             "wall_seconds": round(time.perf_counter() - wall_start, 6),
@@ -959,12 +935,7 @@ def capture_serving_throughput(
         }
     item, rewriting = completed[0]
     kb = KnowledgeBase(tgds=tuple(item.tgds), rewriting=rewriting)
-    instance = generate_instance(
-        item.tgds,
-        fact_count=fact_count,
-        constant_count=max(50, fact_count // 10),
-        seed=int(item.identifier),
-    )
+    instance = _instance(item, fact_count)
     facts = sorted(instance, key=str)
     predicates = sorted(
         {fact.predicate for fact in facts}, key=lambda pred: pred.name
@@ -1129,7 +1100,7 @@ def capture_serving_throughput(
             "workers": stats["workers"]["mode"],
         },
         # the fault-tolerance ledger: a clean perf run must report zero
-        # recoveries (CI asserts this — a nonzero counter here means the
+        # recoveries (declared checks — a nonzero counter here means the
         # measurement itself was degraded by restarts/sheds/timeouts)
         "resilience": dict(stats["resilience"]),
         "concurrent_wall_seconds": round(concurrent_wall, 6),
@@ -1138,7 +1109,7 @@ def capture_serving_throughput(
         if concurrent_wall
         else None,
         # deliberately False when nothing was observed: an empty run must not
-        # read as "verified stale-free" downstream (CI asserts this flag)
+        # read as "verified stale-free" downstream (a declared check)
         "stale_free": stale_free,
     }
 
@@ -1170,7 +1141,7 @@ def capture_demand_queries(
     times.  Answer-set equality of the two paths is recorded per row
     (``agreement``) and as the scenario-level flag — deliberately ``False``
     when no query was measured, so an empty run cannot read as "verified"
-    downstream (CI asserts the flag).  The ``magic`` block aggregates the
+    downstream (a declared check).  The ``magic`` block aggregates the
     per-query :class:`repro.datalog.magic.DemandReport` counters:
     transform-shape counts (``adorned_rules``/``magic_rules``/``copy_rules``,
     max over queries — they describe rewritten programs, not work), summed
@@ -1191,22 +1162,9 @@ def capture_demand_queries(
     from ..api import KnowledgeBase
     from ..datalog.magic import demand_answer
     from ..datalog.query import QueryOptions, parse_query
-    from ..workloads.instances import generate_instance
-    from ..workloads.ontology_suite import generate_suite
 
-    settings = RewritingSettings(timeout_seconds=timeout_seconds)
     wall_start = time.perf_counter()
-    suite = generate_suite(
-        count=suite_size, seed=2022, min_axioms=12, max_axioms=max_axioms
-    )
-    completed = []
-    all_completed = True
-    for item in suite:
-        result = rewrite(item.tgds, algorithm="exbdr", settings=settings)
-        all_completed = all_completed and result.completed
-        if result.completed:
-            completed.append((item, result))
-    completed.sort(key=lambda pair: pair[1].output_size, reverse=True)
+    completed, all_completed = _rewrite_suite(suite_size, max_axioms, timeout_seconds)
     if not completed:
         return {
             "wall_seconds": round(time.perf_counter() - wall_start, 6),
@@ -1216,12 +1174,7 @@ def capture_demand_queries(
         }
     item, rewriting = completed[0]
     kb = KnowledgeBase(tgds=tuple(item.tgds), rewriting=rewriting)
-    instance = generate_instance(
-        item.tgds,
-        fact_count=fact_count,
-        constant_count=max(50, fact_count // 10),
-        seed=int(item.identifier),
-    )
+    instance = _instance(item, fact_count)
     facts = tuple(sorted(instance, key=str))
     # bound point queries: one IDB atom, first argument a constant that
     # occurs in the instance — the access pattern magic sets reward
@@ -1345,81 +1298,281 @@ def capture_demand_queries(
     }
 
 
+@dataclass(frozen=True)
+class Check:
+    """A named gate on one captured payload: ``test`` must return truthy.
+
+    A check whose ``test`` raises on a missing or malformed field fails
+    rather than crashing the capture, so a scenario that measured nothing
+    reports which gates it could not meet.
+    """
+
+    name: str
+    test: Callable[[Mapping[str, Any]], object]
+
+    def holds(self, payload: Mapping[str, Any]) -> bool:
+        try:
+            return bool(self.test(payload))
+        except (LookupError, TypeError, AttributeError):
+            return False
+
+
+def _at(payload: Mapping[str, Any], path: str) -> Any:
+    """The value at a dotted ``path`` (``"dred.retracted"``) of a payload."""
+    value: Any = payload
+    for key in path.split("."):
+        value = value[key]
+    return value
+
+
+def _truthy(path: str) -> Check:
+    """``path`` is non-empty (a list of rows) or true (a flag)."""
+    return Check(path, lambda payload: _at(payload, path))
+
+
+def _is_true(path: str) -> Check:
+    return Check(f"{path} is True", lambda payload: _at(payload, path) is True)
+
+
+def _above(path: str, floor: float = 0) -> Check:
+    return Check(f"{path} > {floor}", lambda payload: _at(payload, path) > floor)
+
+
+def _at_least(path: str, floor: float) -> Check:
+    return Check(f"{path} >= {floor}", lambda payload: _at(payload, path) >= floor)
+
+
+def _zero(path: str) -> Check:
+    return Check(f"{path} == 0", lambda payload: _at(payload, path) == 0)
+
+
+def _not_none(path: str) -> Check:
+    return Check(f"{path} is not None", lambda payload: _at(payload, path) is not None)
+
+
+#: the hash-join pipelines actually ran: executed batches and plan shapes
+_JOIN_PLAN_CHECKS = (_above("join_plan.batches"), _truthy("join_plan.plan_shapes"))
+#: the scenario ran on the ID-encoded store: encoded rows, live term table
+_FACT_STORE_CHECKS = (
+    _above("fact_store.rows"),
+    _above("fact_store.term_table_size"),
+    _above("fact_store.encode_calls"),
+)
+#: a delta-driven chase engine agreed with its retained naive reference and
+#: actually ran delta rounds
+_CHASE_CHECKS = (
+    _truthy("rows"),
+    _truthy("all_consistent"),
+    _above("chase_plan.rounds"),
+    _not_none("speedup_vs_pre_change"),
+)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One recorded perf scenario: how to capture it and what must hold.
+
+    ``smoke`` holds the keyword arguments that shrink ``capture`` to a
+    seconds-long run (``perf --smoke``); ``checks`` are the scenario's gates,
+    evaluated on every capture that includes it (see :func:`failed_checks`).
+    Every scenario additionally checks ``wall_seconds > 0``.
+    """
+
+    name: str
+    capture: Callable[..., Dict[str, object]]
+    smoke: Mapping[str, object]
+    checks: Tuple[Check, ...] = ()
+
+    def run(self, smoke: bool) -> Dict[str, object]:
+        return self.capture(**(self.smoke if smoke else {}))
+
+
+#: the recorded scenarios, in capture order; ``perf --scenario NAME`` (and the
+#: ``scenarios=`` parameter of :func:`capture_perf`) accepts their names
+SCENARIOS: Tuple[Scenario, ...] = (
+    Scenario(
+        "separation_families", capture_separation_families, dict(ns=(2, 3), repeats=1)
+    ),
+    Scenario("fulldr_comparison", capture_fulldr_comparison, dict(timeout_seconds=2.0)),
+    Scenario(
+        "end_to_end",
+        capture_end_to_end,
+        dict(suite_size=2, max_axioms=24, top_k=1, fact_count=150),
+        _JOIN_PLAN_CHECKS + _FACT_STORE_CHECKS,
+    ),
+    Scenario(
+        "incremental_updates",
+        capture_incremental_updates,
+        dict(suite_size=2, max_axioms=24, top_k=1, fact_count=1000, repeats=2),
+        (
+            _truthy("rows"),
+            _truthy("all_consistent"),
+            # machine-independent: if delta seeding breaks and falls back to
+            # near-full work, this ratio collapses towards 1 (50-90x healthy)
+            _at_least("speedup_delta_vs_full", 5),
+        )
+        + _JOIN_PLAN_CHECKS
+        + _FACT_STORE_CHECKS,
+    ),
+    Scenario(
+        "churn",
+        capture_churn,
+        dict(suite_size=2, max_axioms=24, top_k=1, fact_count=600, op_count=4, repeats=1),
+        (
+            _truthy("rows"),
+            _truthy("all_consistent"),
+            _above("dred.retracted"),
+            _above("dred.rounds"),
+            # conservative floor; ~5x when healthy at smoke scale
+            _at_least("speedup_churn_vs_full", 2),
+        )
+        + _FACT_STORE_CHECKS,
+    ),
+    Scenario(
+        "skolem_chase",
+        capture_skolem_chase,
+        dict(suite_size=2, max_axioms=14, fact_count=60, repeats=1),
+        _CHASE_CHECKS + (_above("chase_plan.probes"),),
+    ),
+    Scenario(
+        "guarded_oracle",
+        capture_guarded_oracle,
+        dict(suite_size=2, max_axioms=14, fact_count=40),
+        _CHASE_CHECKS + (_above("chase_plan.types_closed"),),
+    ),
+    Scenario(
+        "serving_throughput",
+        capture_serving_throughput,
+        dict(
+            suite_size=2,
+            max_axioms=24,
+            fact_count=200,
+            clients=4,
+            queries_per_client=4,
+            distinct_queries=4,
+        ),
+        # no speedup floor: at smoke scale dispatch overhead dominates
+        (
+            _is_true("stale_free"),
+            _above("requests"),
+            _above("serving.cache_hit_rate"),
+            _above("serving.batches"),
+            Check(
+                "latency_ms.p99 >= latency_ms.p50",
+                lambda payload: payload["latency_ms"]["p99"]
+                >= payload["latency_ms"]["p50"],
+            ),
+            # a clean run needed no recovery; any means a degraded measurement
+            _zero("resilience.worker_restarts"),
+            _zero("resilience.task_retries"),
+            _zero("resilience.timeouts"),
+            _zero("resilience.sheds"),
+        ),
+    ),
+    Scenario(
+        "demand_queries",
+        capture_demand_queries,
+        dict(suite_size=2, max_axioms=24, fact_count=300, query_count=3, repeats=1),
+        # no speedup floor: at smoke scale fixed costs dominate
+        (
+            _truthy("rows"),
+            _is_true("agreement"),
+            _above("magic.magic_facts"),
+            _above("magic.adorned_rules"),
+            Check(
+                "0 < magic.predicates_touched <= magic.predicates_total",
+                lambda payload: 0
+                < payload["magic"]["predicates_touched"]
+                <= payload["magic"]["predicates_total"],
+            ),
+        )
+        + _FACT_STORE_CHECKS
+        + (
+            _above("kb_segments.file_bytes"),
+            # the lazy repro-kb/v2 tier decodes a strict subset of segments
+            Check(
+                "0 < kb_segments.predicates_loaded < kb_segments.total_predicates",
+                lambda payload: 0
+                < payload["kb_segments"]["predicates_loaded"]
+                < payload["kb_segments"]["total_predicates"],
+            ),
+        ),
+    ),
+)
+
+#: gates on the whole capture; they only hold for an unfiltered one
+CAPTURE_CHECKS: Tuple[Check, ...] = (
+    Check("schema == bench-rewriting/v1", lambda payload: payload["schema"] == SCHEMA),
+    _above("interning.overall.hit_rate", 0.5),
+)
+
+_WALL_CHECK = _above("wall_seconds")
+
+
+def select_scenarios(names: Optional[Sequence[str]] = None) -> Tuple[Scenario, ...]:
+    """The declared scenarios named (all of them for ``None``), in capture order.
+
+    Raises :class:`ValueError` on a name no scenario declares.
+    """
+    if names is None:
+        return SCENARIOS
+    known = [scenario.name for scenario in SCENARIOS]
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        raise ValueError(
+            f"unknown perf scenario(s) {unknown}; expected a subset of {known}"
+        )
+    return tuple(scenario for scenario in SCENARIOS if scenario.name in names)
+
+
+def failed_checks(payload: Mapping[str, Any]) -> List[Tuple[str, str]]:
+    """``(scenario, check name)`` for every declared check the capture fails.
+
+    A filtered capture (one recording ``scenario_filter``) is checked only
+    on the scenarios it captured; an unfiltered one must contain every
+    declared scenario and also meets :data:`CAPTURE_CHECKS`, reported under
+    the scenario name ``capture``.
+    """
+    scenarios = payload.get("scenarios")
+    scenarios = scenarios if isinstance(scenarios, Mapping) else {}
+    captured = payload.get("scenario_filter")
+    failures: List[Tuple[str, str]] = []
+    for scenario in select_scenarios(captured):
+        result = scenarios.get(scenario.name)
+        result = result if isinstance(result, Mapping) else {}
+        for check in (_WALL_CHECK,) + scenario.checks:
+            if not check.holds(result):
+                failures.append((scenario.name, check.name))
+    if captured is None:
+        failures.extend(
+            ("capture", check.name)
+            for check in CAPTURE_CHECKS
+            if not check.holds(payload)
+        )
+    return failures
+
+
 def capture_perf(
     smoke: bool = False, scenarios: Optional[Sequence[str]] = None
 ) -> Dict[str, object]:
     """Run the recorded scenarios and return the BENCH_rewriting payload.
 
-    ``smoke=True`` shrinks every knob so the capture finishes in a few
-    seconds; CI uses it to keep the pipeline exercised without paying for a
-    full measurement run.  ``scenarios`` restricts the capture to a subset of
-    :data:`SCENARIO_NAMES` (``perf --scenario NAME``) so a single scenario
-    can be iterated on without rerunning the whole capture; the filter is
-    recorded in the payload as ``scenario_filter``.
+    ``smoke=True`` runs every scenario at its declared smoke size, so the
+    capture finishes in a few seconds; CI uses it to keep the pipeline
+    exercised without paying for a full measurement run.  ``scenarios``
+    restricts the capture to a subset of :data:`SCENARIOS` (``perf
+    --scenario NAME``) so a single scenario can be iterated on without
+    rerunning the whole capture; the filter is recorded in the payload as
+    ``scenario_filter``.
     """
-    if scenarios is not None:
-        unknown = sorted(set(scenarios) - set(SCENARIO_NAMES))
-        if unknown:
-            raise ValueError(
-                f"unknown perf scenario(s) {unknown}; "
-                f"expected a subset of {list(SCENARIO_NAMES)}"
-            )
-    if smoke:
-        runners = {
-            "separation_families": lambda: capture_separation_families(
-                ns=(2, 3), repeats=1
-            ),
-            "fulldr_comparison": lambda: capture_fulldr_comparison(
-                timeout_seconds=2.0
-            ),
-            "end_to_end": lambda: capture_end_to_end(
-                suite_size=2, max_axioms=24, top_k=1, fact_count=150
-            ),
-            "incremental_updates": lambda: capture_incremental_updates(
-                suite_size=2, max_axioms=24, top_k=1, fact_count=1000, repeats=2
-            ),
-            "churn": lambda: capture_churn(
-                suite_size=2, max_axioms=24, top_k=1, fact_count=600, op_count=4,
-                repeats=1,
-            ),
-            "skolem_chase": lambda: capture_skolem_chase(
-                suite_size=2, max_axioms=14, fact_count=60, repeats=1
-            ),
-            "guarded_oracle": lambda: capture_guarded_oracle(
-                suite_size=2, max_axioms=14, fact_count=40
-            ),
-            "serving_throughput": lambda: capture_serving_throughput(
-                suite_size=2, max_axioms=24, fact_count=200, clients=4,
-                queries_per_client=4, distinct_queries=4,
-            ),
-            "demand_queries": lambda: capture_demand_queries(
-                suite_size=2, max_axioms=24, fact_count=300, query_count=3,
-                repeats=1,
-            ),
-        }
-    else:
-        runners = {
-            "separation_families": capture_separation_families,
-            "fulldr_comparison": capture_fulldr_comparison,
-            "end_to_end": capture_end_to_end,
-            "incremental_updates": capture_incremental_updates,
-            "churn": capture_churn,
-            "skolem_chase": capture_skolem_chase,
-            "guarded_oracle": capture_guarded_oracle,
-            "serving_throughput": capture_serving_throughput,
-            "demand_queries": capture_demand_queries,
-        }
+    selected = select_scenarios(scenarios)
     # start from empty intern tables so repeated in-process captures measure
     # the same (cold) workload and report comparable hit rates
     clear_intern_caches()
     wall_start = time.perf_counter()
-    captured = {
-        name: runners[name]()
-        for name in SCENARIO_NAMES
-        if scenarios is None or name in scenarios
-    }
+    captured = {scenario.name: scenario.run(smoke) for scenario in selected}
     payload: Dict[str, object] = {
-        "schema": "bench-rewriting/v1",
+        "schema": SCHEMA,
         "created_unix": round(time.time(), 1),
         "scale": "smoke" if smoke else "default",
         "wall_seconds": round(time.perf_counter() - wall_start, 6),
@@ -1458,53 +1611,21 @@ def compare_captures(
                 f"baseline is {previous_scale!r}; wall times are not comparable"
             )
         }
+    # a scenario that newly completes (or newly times out) measures different
+    # work; its wall times are not comparable — compare_scenario_statuses
+    # reports the change instead
+    changed = compare_scenario_statuses(current, previous)
     ratios: Dict[str, object] = {}
-    current_scenarios = current.get("scenarios", {})
     previous_scenarios = previous.get("scenarios", {})
-    for name, scenario in current_scenarios.items():
+    for name, scenario in current.get("scenarios", {}).items():
         old = previous_scenarios.get(name)
-        if not isinstance(old, Mapping) or not isinstance(scenario, Mapping):
-            continue
-        old_status = _scenario_status(old)
-        new_status = _scenario_status(scenario)
-        if old_status and new_status and old_status != new_status:
-            # a scenario that newly completes (or newly times out) measures
-            # different work; its wall times are not comparable — the change
-            # is reported via compare_scenario_statuses instead
+        if name in changed or not isinstance(old, Mapping):
             continue
         new_wall = scenario.get("wall_seconds")
         old_wall = old.get("wall_seconds")
         if new_wall and old_wall:
             ratios[name] = round(old_wall / new_wall, 2)
     return ratios
-
-
-def _scenario_status(scenario: Mapping[str, object]) -> Optional[str]:
-    """The scenario's ``status`` flag, inferred for pre-flag captures.
-
-    Captures taken before the flag existed (the old committed
-    BENCH_rewriting.json, any CI merge-base capture of pre-flag code) still
-    record per-algorithm ``completed`` booleans under ``inputs``; deriving a
-    status from them keeps the different-work exclusion (and the CLI's
-    newly-timed-out gate) live against such baselines instead of silently
-    comparing a timed-out run's wall time with a completed one's.
-    """
-    status = scenario.get("status")
-    if isinstance(status, str):
-        return status
-    inputs = scenario.get("inputs")
-    if not isinstance(inputs, Mapping):
-        return None
-    completed_flags = [
-        row.get("completed")
-        for per_algorithm in inputs.values()
-        if isinstance(per_algorithm, Mapping)
-        for row in per_algorithm.values()
-        if isinstance(row, Mapping) and "completed" in row
-    ]
-    if not completed_flags:
-        return None
-    return STATUS_COMPLETED if all(completed_flags) else STATUS_TIMED_OUT
 
 
 def compare_scenario_statuses(
@@ -1530,8 +1651,8 @@ def compare_scenario_statuses(
         old = previous_scenarios.get(name)
         if not isinstance(old, Mapping) or not isinstance(scenario, Mapping):
             continue
-        old_status = _scenario_status(old)
-        new_status = _scenario_status(scenario)
-        if old_status and new_status and old_status != new_status:
-            changes[name] = {"baseline": old_status, "current": new_status}
+        old_status, new_status = old.get("status"), scenario.get("status")
+        if isinstance(old_status, str) and isinstance(new_status, str):
+            if old_status != new_status:
+                changes[name] = {"baseline": old_status, "current": new_status}
     return changes

@@ -99,7 +99,10 @@ class Saturation(Generic[ClauseT]):
             self._worked_off.add(clause)
             self.inference.register(clause)
             self.statistics.processed += 1
-            derived = self.inference.infer(clause, self._worked_off)
+            derived = tuple(self.inference.infer(clause, self._worked_off))
+            # conclusions of the inference rule itself, counted before head
+            # normalization splits them (``derived`` counts the split ones)
+            self.statistics.inferences += len(derived)
             normalized = self.inference.normalize_results(derived)
             for result in normalized:
                 self._check_deadline()

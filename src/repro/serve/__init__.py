@@ -90,7 +90,9 @@ fault-injection harness (:mod:`.faults`, driven by
 The ``stats`` op reports the whole ledger: per-KB queue depth, op-log
 length and checkpoint count, plus a ``resilience`` block (restarts,
 retries, timeouts, sheds) and a ``fault_injection`` block when a
-:class:`~repro.serve.faults.FaultPlan` is installed.
+:class:`~repro.serve.faults.FaultPlan` is installed.  Protocol change: the
+per-KB queue depth is reported only as ``queue_depth``; the duplicate
+``queued`` key it used to carry alongside is gone.
 
 The serving-side performance story is measured by the
 ``serving_throughput`` perf scenario (see :mod:`repro.harness.perfcapture`)

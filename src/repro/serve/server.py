@@ -589,7 +589,6 @@ class ReasoningServer:
                 "fingerprint": state.kb.fingerprint,
                 "rules": len(state.kb.program),
                 "generation": state.generation,
-                "queued": len(state.queue),
                 "queue_depth": len(state.queue),
                 "queue_high_water": state.queue.high_water,
                 "op_log_length": len(state.ops),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datalog.index import FactStore
+from repro.datalog.store import FactStore
 from repro.logic.atoms import Predicate
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant, Variable

@@ -1,7 +1,7 @@
 """Unit tests for compiled hash-join plans (repro.datalog.plan)."""
 
 from repro.datalog.engine import DatalogEngine, compiled_engine, materialize
-from repro.datalog.index import FactStore
+from repro.datalog.store import FactStore
 from repro.datalog.plan import (
     JoinPlanStats,
     PlanVariant,

@@ -233,15 +233,17 @@ class TestPerfCapture:
         assert chase_plan["rounds"] > 0
 
     def test_chase_blocks_render_in_reports(self):
-        from repro.harness.reports import perf_report, step_summary_markdown
+        from repro.harness.reports import render_capture
 
         payload = {
             "scale": "smoke",
             "wall_seconds": 1.0,
+            "scenario_filter": ["guarded_oracle", "skolem_chase"],
             "scenarios": {
                 "skolem_chase": {
                     "wall_seconds": 0.5,
                     "status": "completed",
+                    "rows": [{"input_id": "00001"}],
                     "speedup_vs_pre_change": 7.5,
                     "all_consistent": True,
                     "chase_plan": {
@@ -254,6 +256,7 @@ class TestPerfCapture:
                 "guarded_oracle": {
                     "wall_seconds": 0.5,
                     "status": "completed",
+                    "rows": [{"input_id": "00001"}],
                     "speedup_vs_pre_change": 2.5,
                     "all_consistent": False,
                     "chase_plan": {
@@ -266,23 +269,31 @@ class TestPerfCapture:
                 },
             },
         }
-        text = perf_report(payload)
-        assert "7.5x faster than the naive loop" in text
-        assert "2.5x faster than tree re-walks" in text
-        assert "INCONSISTENT" in text  # the guarded block must surface it
-        markdown = step_summary_markdown(payload)
-        assert "Chase-plan stats" in markdown
-        assert "| skolem_chase | 4 | 12 |" in markdown
-        assert "11 types closed / 40 reused" in markdown
+        text = render_capture(payload)
+        # one chase_plan table, a column per scenario, a row per counter
+        assert "\nchase_plan\nfield" in text
+        rows = [line.split() for line in text.splitlines()]
+        assert ["speedup_vs_pre_change", "7.5"] in rows
+        markdown = render_capture(payload, markdown=True)
+        assert "### chase_plan" in markdown
+        assert "| field | skolem_chase | guarded_oracle |" in markdown
+        assert "| rounds | 4 | 6 |" in markdown
+        assert "| types_closed | – | 11 |" in markdown
+        assert "| probes | 100 | – |" in markdown
+        # the diverged guarded run surfaces as its failed check, in both
+        assert ["guarded_oracle", "all_consistent"] in rows
+        assert "| guarded_oracle | all_consistent |" in markdown
+        assert "| skolem_chase | 0.5 | completed | – | ok |" in markdown
 
     def test_inconsistent_run_renders_even_without_a_speedup(self):
         # a diverged run whose ratio came out falsy (None/0.0) must still
-        # surface the INCONSISTENT warning in both report formats
-        from repro.harness.reports import perf_report, step_summary_markdown
+        # surface the divergence in both report formats
+        from repro.harness.reports import render_capture
 
         payload = {
             "scale": "smoke",
             "wall_seconds": 1.0,
+            "scenario_filter": ["skolem_chase"],
             "scenarios": {
                 "skolem_chase": {
                     "wall_seconds": 0.5,
@@ -293,8 +304,10 @@ class TestPerfCapture:
                 },
             },
         }
-        assert "INCONSISTENT" in perf_report(payload)
-        assert "INCONSISTENT" in step_summary_markdown(payload)
+        for rendered in (render_capture(payload), render_capture(payload, True)):
+            assert "Failed checks" in rendered
+            assert "all_consistent" in rendered
+            assert "speedup_vs_pre_change is not None" in rendered
 
     def test_compare_captures_reports_ratios(self):
         from repro.harness.perfcapture import compare_captures
@@ -361,44 +374,6 @@ class TestPerfCapture:
         previous = {"scenarios": {"end_to_end": {"wall_seconds": 2.0}}}
         assert compare_scenario_statuses(current, previous) == {}
 
-    def test_status_inferred_from_pre_flag_completed_booleans(self):
-        # baselines captured before the status flag existed (the old
-        # committed BENCH, CI merge-base captures of pre-flag code) still
-        # carry per-algorithm completed booleans; the exclusion and the
-        # status report must work against them
-        from repro.harness.perfcapture import (
-            compare_captures,
-            compare_scenario_statuses,
-        )
-
-        previous = {
-            "scale": "default",
-            "scenarios": {
-                "fulldr_comparison": {
-                    "wall_seconds": 9.0,
-                    "inputs": {
-                        "example-E.3": {
-                            "fulldr": {"wall_seconds": 8.0, "completed": False},
-                            "hypdr": {"wall_seconds": 0.1, "completed": True},
-                        }
-                    },
-                }
-            },
-        }
-        current = {
-            "scale": "default",
-            "scenarios": {
-                "fulldr_comparison": {"wall_seconds": 1.2, "status": "completed"}
-            },
-        }
-        assert compare_captures(current, previous) == {}
-        assert compare_scenario_statuses(current, previous) == {
-            "fulldr_comparison": {
-                "baseline": "timed_out",
-                "current": "completed",
-            }
-        }
-
     def test_capture_perf_scenario_filter(self):
         from repro.harness.perfcapture import capture_perf
 
@@ -414,14 +389,6 @@ class TestPerfCapture:
 
         with pytest.raises(ValueError, match="unknown perf scenario"):
             capture_perf(smoke=True, scenarios=["no_such_scenario"])
-
-    def test_cli_scenario_choices_match_harness(self):
-        # the CLI inlines the names so building the parser stays free of
-        # harness imports; the two tuples must not drift apart
-        from repro.cli import PERF_SCENARIO_NAMES
-        from repro.harness.perfcapture import SCENARIO_NAMES
-
-        assert PERF_SCENARIO_NAMES == SCENARIO_NAMES
 
     def test_gate_fails_on_newly_timed_out_scenario(self):
         from repro.cli import _newly_timed_out_scenarios
@@ -442,3 +409,131 @@ class TestPerfCapture:
         # improvement and must not
         assert _newly_timed_out_scenarios(payload) == ["fulldr_comparison"]
         assert _newly_timed_out_scenarios({}) == []
+
+
+def _violating_payload():
+    """A filtered smoke capture that fails exactly four declared checks."""
+    fact_store = {"rows": 9, "term_table_size": 4, "encode_calls": 9}
+    return {
+        "schema": "bench-rewriting/v1",
+        "scale": "smoke",
+        "wall_seconds": 1.0,
+        "scenario_filter": ["churn", "demand_queries", "serving_throughput"],
+        "scenarios": {
+            "churn": {
+                "wall_seconds": 0.2,
+                "status": "completed",
+                "rows": [{"input_id": "00001"}],
+                "dred": {"retracted": 3, "rounds": 2},
+                "fact_store": fact_store,
+                "speedup_churn_vs_full": 4.0,
+                "all_consistent": False,
+            },
+            "serving_throughput": {
+                "wall_seconds": 0.4,
+                "status": "completed",
+                "requests": 16,
+                "latency_ms": {"p50": 1.0, "p99": 2.0},
+                "serving": {"cache_hit_rate": 0.5, "batches": 4},
+                "resilience": {
+                    "worker_restarts": 1,
+                    "task_retries": 0,
+                    "timeouts": 0,
+                    "sheds": 0,
+                },
+                "stale_free": False,
+            },
+            "demand_queries": {
+                "wall_seconds": 0.5,
+                "status": "completed",
+                "rows": [{"query": "C1(c1)"}],
+                "magic": {
+                    "adorned_rules": 9,
+                    "magic_facts": 14,
+                    "predicates_touched": 8,
+                    "predicates_total": 14,
+                },
+                "fact_store": fact_store,
+                "kb_segments": {
+                    "file_bytes": 100,
+                    "predicates_loaded": 6,
+                    "total_predicates": 14,
+                },
+                "agreement": False,
+            },
+        },
+    }
+
+
+VIOLATED = [
+    ("churn", "all_consistent"),
+    ("serving_throughput", "stale_free is True"),
+    ("serving_throughput", "resilience.worker_restarts == 0"),
+    ("demand_queries", "agreement is True"),
+]
+
+
+class TestDeclaredChecks:
+    def test_failed_checks_names_each_violated_gate(self):
+        from repro.harness.perfcapture import failed_checks
+
+        assert sorted(failed_checks(_violating_payload())) == sorted(VIOLATED)
+
+    def test_missing_fields_fail_their_checks_instead_of_raising(self):
+        from repro.harness.perfcapture import failed_checks
+
+        payload = {"scenario_filter": ["churn"], "scenarios": {"churn": {}}}
+        failed = [check for _, check in failed_checks(payload)]
+        assert "wall_seconds > 0" in failed
+        assert "all_consistent" in failed
+        assert "speedup_churn_vs_full >= 2" in failed
+
+    def test_unfiltered_capture_needs_every_scenario_and_capture_checks(self):
+        from repro.harness.perfcapture import SCENARIOS, failed_checks
+
+        failed = failed_checks({"schema": "bench-rewriting/v1", "scenarios": {}})
+        assert {name for name, _ in failed} == {
+            scenario.name for scenario in SCENARIOS
+        } | {"capture"}
+        assert ("capture", "interning.overall.hit_rate > 0.5") in failed
+        assert ("capture", "schema == bench-rewriting/v1") not in failed
+
+    def test_perf_exits_4_and_names_failed_checks_in_both_renders(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro.cli import main
+        from repro.harness import perfcapture
+
+        monkeypatch.setattr(
+            perfcapture, "capture_perf", lambda **_: _violating_payload()
+        )
+        summary = tmp_path / "summary.md"
+        status = main(
+            ["perf", "-o", str(tmp_path / "bench.json"), "--step-summary", str(summary)]
+        )
+        assert status == 4
+        captured = capsys.readouterr()
+        markdown = summary.read_text(encoding="utf-8")
+        for scenario, check in VIOLATED:
+            assert check in captured.out
+            assert f"| {scenario} | {check} |" in markdown
+            assert f"check failed: {scenario}: {check}" in captured.err
+
+    def test_perf_rejects_unknown_scenario_with_exit_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        status = main(
+            ["perf", "--scenario", "no_such", "-o", str(tmp_path / "bench.json")]
+        )
+        assert status == 2
+        assert "unknown perf scenario" in capsys.readouterr().err
+
+    def test_smoke_capture_passes_every_check(self, tmp_path):
+        import json
+
+        from repro.cli import main
+        from repro.harness.perfcapture import failed_checks
+
+        output = tmp_path / "bench.json"
+        assert main(["perf", "--smoke", "-o", str(output)]) == 0
+        assert failed_checks(json.loads(output.read_text(encoding="utf-8"))) == []

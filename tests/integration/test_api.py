@@ -6,8 +6,6 @@ from repro import (
     ConjunctiveQuery,
     KnowledgeBase,
     Variable,
-    answer_query,
-    entailed_base_facts,
     parse_program,
 )
 from repro.logic.atoms import Predicate
@@ -19,10 +17,10 @@ class TestKnowledgeBase:
         tgds, instance = cim
         kb = KnowledgeBase.compile(tgds)
         equipment = Predicate("Equipment", 1)
-        first = kb.certain_base_facts(instance)
+        first = kb.session(instance).certain_base_facts()
         assert equipment(Constant("sw1")) in first
         other_instance = parse_program("ACEquipment(sw42).").instance
-        second = kb.certain_base_facts(other_instance)
+        second = kb.session(other_instance).certain_base_facts()
         assert equipment(Constant("sw42")) in second
 
     def test_entails(self, cim):
@@ -43,7 +41,7 @@ class TestKnowledgeBase:
         kb = KnowledgeBase.compile(tgds)
         x = Variable("x")
         query = ConjunctiveQuery((x,), (Predicate("Equipment", 1)(x),))
-        answers = kb.answer(query, instance)
+        (answers,) = kb.answer_many([query], instance)
         assert (Constant("sw1"),) in answers
         assert (Constant("sw2"),) in answers
 
@@ -67,20 +65,23 @@ class TestKnowledgeBase:
             tgds, algorithm="exbdr", settings=RewritingSettings(use_lookahead=False)
         )
         assert kb.rewriting.algorithm == "ExbDR"
-        assert kb.certain_base_facts(instance)
+        assert kb.session(instance).certain_base_facts()
 
 
 class TestOneShotHelpers:
+    """One-shot use: compile, then answer or close a single instance."""
+
     def test_answer_query(self, cim):
         tgds, instance = cim
         x = Variable("x")
         query = ConjunctiveQuery((x,), (Predicate("Equipment", 1)(x),))
-        answers = answer_query(tgds, instance, query)
+        (answers,) = KnowledgeBase.compile(tgds).answer_many([query], instance)
         assert len(answers) == 2
 
     def test_entailed_base_facts(self, running):
         tgds, instance = running
-        facts = entailed_base_facts(tgds, instance, algorithm="skdr")
+        kb = KnowledgeBase.compile(tgds, algorithm="skdr")
+        facts = kb.session(instance).certain_base_facts()
         assert Predicate("H", 1)(Constant("a")) in facts
 
     def test_queries_with_joins_over_completed_data(self, cim):
@@ -94,7 +95,7 @@ class TestOneShotHelpers:
                 Predicate("hasTerminal", 2)(x, y),
             ),
         )
-        answers = answer_query(tgds, instance, query)
+        (answers,) = KnowledgeBase.compile(tgds).answer_many([query], instance)
         assert answers == {(Constant("sw1"), Constant("trm1"))}
 
 
@@ -150,36 +151,6 @@ class TestQueryOptionsSurface:
 
 
 class TestDeprecatedSurface:
-    def test_kb_answer_warns_but_works(self, cim):
-        tgds, instance = cim
-        kb = KnowledgeBase.compile(tgds)
-        x = Variable("x")
-        query = ConjunctiveQuery((x,), (Predicate("Equipment", 1)(x),))
-        with pytest.warns(DeprecationWarning, match="answer_many"):
-            answers = kb.answer(query, instance)
-        assert (Constant("sw1"),) in answers
-
-    def test_kb_certain_base_facts_warns_but_works(self, cim):
-        tgds, instance = cim
-        kb = KnowledgeBase.compile(tgds)
-        with pytest.warns(DeprecationWarning, match="session"):
-            facts = kb.certain_base_facts(instance)
-        assert Predicate("Equipment", 1)(Constant("sw1")) in facts
-
-    def test_answer_query_warns_but_works(self, cim):
-        tgds, instance = cim
-        x = Variable("x")
-        query = ConjunctiveQuery((x,), (Predicate("Equipment", 1)(x),))
-        with pytest.warns(DeprecationWarning, match="answer_many"):
-            answers = answer_query(tgds, instance, query)
-        assert len(answers) == 2
-
-    def test_entailed_base_facts_warns_but_works(self, running):
-        tgds, instance = running
-        with pytest.warns(DeprecationWarning, match="certain_base_facts"):
-            facts = entailed_base_facts(tgds, instance, algorithm="skdr")
-        assert Predicate("H", 1)(Constant("a")) in facts
-
     def test_blessed_paths_do_not_warn(self, cim):
         import warnings as warnings_module
 
@@ -192,3 +163,13 @@ class TestDeprecatedSurface:
             kb.answer_many([query], instance)
             kb.session(instance).certain_base_facts()
             kb.entails(instance, Predicate("Equipment", 1)(Constant("sw1")))
+
+    def test_removed_one_shot_shims_stay_removed(self):
+        import repro
+        import repro.api
+
+        for name in ("answer_query", "entailed_base_facts"):
+            assert not hasattr(repro, name)
+            assert not hasattr(repro.api, name)
+        assert not hasattr(KnowledgeBase, "answer")
+        assert not hasattr(KnowledgeBase, "certain_base_facts")

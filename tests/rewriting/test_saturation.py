@@ -22,6 +22,17 @@ class TestAlgorithmOne:
         assert stats.elapsed_seconds >= 0.0
         assert not stats.timed_out
 
+    def test_inferences_count_conclusions_before_head_normalization(self):
+        tgds, _ = running_example()
+        exbdr = saturate(ExbDR(), tgds).statistics
+        assert exbdr.inferences > 0
+        # head normalization splits a TGD conclusion into one or more clauses
+        assert exbdr.derived >= exbdr.inferences
+        # rule-based inferences are never split, so the counters coincide
+        skdr = saturate(SkDR(), tgds).statistics
+        assert skdr.inferences > 0
+        assert skdr.derived == skdr.inferences
+
     def test_input_size_counts_skolemized_rules_for_rule_algorithms(self):
         tgds, _ = running_example()
         result = saturate(SkDR(), tgds)

@@ -120,6 +120,9 @@ class TestBasicServing:
         assert stats["protocol"] == "repro-serve/v1"
         assert "cim" in stats["kbs"]
         assert stats["kbs"]["cim"]["generation"] == 0
+        # the queue depth has one key; the duplicate ``queued`` is gone
+        assert stats["kbs"]["cim"]["queue_depth"] == 0
+        assert "queued" not in stats["kbs"]["cim"]
         for block in ("answer_cache", "batching", "workers"):
             assert block in stats
         assert stats["batching"]["batches"] >= 1
