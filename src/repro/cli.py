@@ -480,7 +480,7 @@ def _command_perf(args: argparse.Namespace) -> int:
     """
     import json
 
-    from .harness.perfcapture import failed_checks, select_scenarios
+    from .harness.perfcapture import default_bench_path, failed_checks, select_scenarios
     from .harness.reports import render_capture
     from .harness.runner import run_perf_capture
 
@@ -511,7 +511,8 @@ def _command_perf(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    output_dir = Path(args.output).resolve().parent
+    output = args.output or default_bench_path(args.smoke)
+    output_dir = Path(output).resolve().parent
     if not output_dir.is_dir():
         print(f"error: output directory does not exist: {output_dir}", file=sys.stderr)
         return 2
@@ -522,12 +523,12 @@ def _command_perf(args: argparse.Namespace) -> int:
 
     payload = run_perf_capture(
         smoke=args.smoke,
-        output_path=args.output,
+        output_path=output,
         baseline=previous,
         scenarios=args.scenario,
     )
     print(render_capture(payload))
-    print(f"# written to {args.output}", file=sys.stderr)
+    print(f"# written to {output}", file=sys.stderr)
     if args.step_summary:
         # append (GitHub writes other steps' summaries to the same file)
         with open(args.step_summary, "a", encoding="utf-8") as handle:
@@ -773,14 +774,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf_parser = subparsers.add_parser(
         "perf",
-        help="run the recorded benchmark scenarios, emit BENCH_rewriting.json, "
+        help="run the recorded benchmark scenarios, emit their JSON capture, "
         "and exit 4 if a scenario fails one of its declared checks",
     )
     perf_parser.add_argument(
         "-o",
         "--output",
-        default="BENCH_rewriting.json",
-        help="where to write the JSON capture (default: BENCH_rewriting.json)",
+        help="where to write the JSON capture (default: BENCH_rewriting.json, "
+        "or BENCH_smoke.json with --smoke)",
     )
     perf_parser.add_argument(
         "--smoke",

@@ -15,11 +15,7 @@ from ..logic.atoms import Atom
 from ..logic.terms import Term, Variable
 from .engine import MaterializationResult
 from .store import FactStore
-from .plan import JoinPlanStats, body_supports_plan, compiled_body_plan
-
-#: lifetime counters for top-level query evaluation (shares the join
-#: machinery of the rule plans; see repro.datalog.plan)
-QUERY_JOIN_STATS = JoinPlanStats()
+from .plan import body_supports_plan, compiled_body_plan
 
 
 class QueryValidationError(ValueError):
@@ -134,7 +130,7 @@ def evaluate_query(
         for match in _match_all_fallback(query.body, store):
             answers.add(tuple(match[var] for var in query.answer_variables))
         return frozenset(answers)
-    batch = compiled_body_plan(query.body).execute(store, None, QUERY_JOIN_STATS)
+    batch = compiled_body_plan(query.body).execute(store)
     if not batch.size:
         return frozenset()
     if not query.answer_variables:
@@ -158,7 +154,7 @@ def boolean_query_holds(
         for _ in _match_all_fallback(body, store):
             return True
         return False
-    batch = compiled_body_plan(body).execute(store, None, QUERY_JOIN_STATS)
+    batch = compiled_body_plan(body).execute(store)
     return batch.size > 0
 
 

@@ -1,16 +1,7 @@
-"""Benchmark harness: runners, aggregation, and paper-style report rendering."""
+"""Benchmark harness: runners, aggregation, and perf-capture report rendering."""
 
-from .runner import BenchmarkRunner, RunRecord, run_on_tgds, run_perf_capture
-from .reports import (
-    cactus_report,
-    end_to_end_report,
-    figure_summary_report,
-    format_table,
-    full_figure_report,
-    pairwise_report,
-    render_capture,
-    table1_report,
-)
+from .runner import BenchmarkRunner, RunRecord, run_perf_capture
+from .reports import format_table, render_capture
 _LAZY_PERFCAPTURE = ("capture_perf", "compare_captures", "write_bench_json")
 
 
@@ -40,23 +31,16 @@ __all__ = [
     "BenchmarkRunner",
     "RunRecord",
     "both_fail_matrix",
-    "cactus_report",
     "capture_perf",
     "compare_captures",
     "render_capture",
     "run_perf_capture",
     "write_bench_json",
     "cactus_series",
-    "end_to_end_report",
-    "figure_summary_report",
     "format_table",
-    "full_figure_report",
     "group_by_algorithm",
     "inputs_unprocessed_by_all",
-    "pairwise_report",
     "pairwise_slowdown_matrix",
-    "run_on_tgds",
     "summarize",
     "summarize_algorithm",
-    "table1_report",
 ]

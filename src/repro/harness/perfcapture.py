@@ -1,26 +1,29 @@
 """Repeatable perf capture for the saturation → rewriting → materialization path.
 
-``capture_perf`` re-runs the workloads of the three benchmark scripts —
-``bench_separation_families.py`` (saturation throughput on the exponential
-separation families), ``bench_fulldr.py`` (FullDR versus the practical
-algorithms), and ``bench_table2_end_to_end.py`` (rewrite once, materialize
-the fixpoint) — under one roof and emits ``BENCH_rewriting.json``: wall
-times, clauses generated/retained, the subsumption hit rate, and the
-interning hit rate.  The ``skolem_chase`` and ``guarded_oracle`` scenarios
-additionally track the chase oracles, each measuring its delta-driven engine
-against the retained pre-change loop in the same process (recorded as
-``speedup_vs_pre_change`` with a ``chase_plan`` stats block), and the
-``churn`` scenario drives interleaved add/retract streams through a live
-session, checking every op against full re-materialization and recording
-the DRed counters in a ``dred`` stats block.  The store-touching scenarios
-(``end_to_end``, ``incremental_updates``, ``churn``, ``demand_queries``)
-also record a ``fact_store`` block — the ID-encoded store's term-table
-size, row count, index footprint, and encode/decode counters — and
-``demand_queries`` adds a ``kb_segments`` block measuring the lazy
-``repro-kb/v2`` segment tier (file size, decode wall time, predicates
-loaded out of total after one demand answer).  Every future
-PR reruns the capture and compares against the recorded trajectory; see the
-"Recording performance" section of ROADMAP.md.
+``capture_perf`` runs the declared scenarios under one roof and emits
+``BENCH_rewriting.json`` (``BENCH_smoke.json`` at smoke scale): wall times,
+clauses generated/retained, the subsumption hit rate, and the interning hit
+rate.  ``separation_families`` measures raw saturation throughput on the
+exponential separation families of Propositions 5.14, 5.15 and 5.20,
+``fulldr_comparison`` contrasts FullDR with the practical algorithms
+(Appendix E), ``end_to_end`` rewrites once and materializes the fixpoint
+(Table 2), and ``paper_figures`` records the rest of the paper's Section 7
+evaluation: Table 1, Figures 4 and 5, and the subsumption and
+structural-transformation ablations.  The ``skolem_chase`` and
+``guarded_oracle`` scenarios additionally track the chase oracles, each
+measuring its delta-driven engine against the retained pre-change loop in
+the same process (recorded as ``speedup_vs_pre_change`` with a
+``chase_plan`` stats block), and the ``churn`` scenario drives interleaved
+add/retract streams through a live session, checking every op against full
+re-materialization and recording the DRed counters in a ``dred`` stats
+block.  The store-touching scenarios (``end_to_end``,
+``incremental_updates``, ``churn``, ``demand_queries``) also record a
+``fact_store`` block — the ID-encoded store's term-table size, row count,
+index footprint, and encode/decode counters — and ``demand_queries`` adds a
+``kb_segments`` block measuring the lazy ``repro-kb/v2`` segment tier (file
+size, decode wall time, predicates loaded out of total after one demand
+answer).  Every future change reruns the capture and compares against the
+recorded trajectory; see the "Recording performance" section of ROADMAP.md.
 
 Each scenario is one :class:`Scenario` declaration in :data:`SCENARIOS`:
 its name, its ``capture_*`` function, the keyword arguments of its smoke
@@ -116,7 +119,7 @@ def _finish_totals(total: Dict[str, float]) -> Dict[str, object]:
 def capture_separation_families(
     ns: Sequence[int] = SEPARATION_NS, repeats: int = 5
 ) -> Dict[str, object]:
-    """The ``bench_separation_families.py`` workload: raw saturation throughput."""
+    """Raw saturation throughput on the exponential separation families."""
     combos = (
         ("P5.14", exbdr_blowup_family, (ExbDR, SkDR)),
         ("P5.15", skdr_blowup_family, (ExbDR, SkDR)),
@@ -179,7 +182,7 @@ def capture_separation_families(
 
 
 def capture_fulldr_comparison(timeout_seconds: float = 8.0) -> Dict[str, object]:
-    """The ``bench_fulldr.py`` workload: FullDR versus the practical algorithms.
+    """Appendix E: FullDR versus the practical algorithms on Examples 4.3 and E.3.
 
     Also records the constraint-propagating match solver's counters for the
     scenario (see :mod:`repro.unification.solver` for how to read the
@@ -305,7 +308,7 @@ def capture_end_to_end(
     fact_count: int = 600,
     timeout_seconds: float = 8.0,
 ) -> Dict[str, object]:
-    """The ``bench_table2_end_to_end.py`` workload: rewrite once, materialize."""
+    """Table 2: rewrite the largest ExbDR outputs once, materialize their fixpoints."""
     from ..datalog.engine import compiled_engine
     from ..datalog.plan import JoinPlanStats
 
@@ -1298,6 +1301,184 @@ def capture_demand_queries(
     }
 
 
+#: the algorithms of the paper's evaluation (the KAON2 baseline joins Figure 4)
+PAPER_ALGORITHMS: Tuple[str, ...] = ("exbdr", "skdr", "hypdr")
+
+#: Figure 5 multiplies every relation's arity by this factor, as the paper
+#: does (arity-two ontology relations become arity-ten ones)
+FIGURE5_ARITY_FACTOR = 5
+
+
+def _figure_blocks(records, prefix: str) -> Dict[str, object]:
+    """One figure of the paper (Figure 4 or 5) from its run records.
+
+    ``prefix`` maps every algorithm to its :func:`summarize` row (the
+    figure's metric table); ``prefix_cactus`` to the sorted times of its
+    processed inputs (the x-th entry is the time of the x-th fastest, the
+    cactus plot); ``prefix_slowdown[X][Y]`` counts the inputs on which
+    ``time(Y)/time(X) >= 10`` and ``prefix_both_fail[X][Y]`` those both
+    timed out on — the two pairwise matrices, one column per X.
+    """
+    from .stats import both_fail_matrix, cactus_series, pairwise_slowdown_matrix, summarize
+
+    summaries = {summary.algorithm: summary.as_dict() for summary in summarize(records)}
+    for row in summaries.values():
+        del row["algorithm"]
+    algorithms = list(summaries)
+    slowdown = pairwise_slowdown_matrix(records, factor=10.0)
+    both_fail = both_fail_matrix(records)
+    return {
+        prefix: summaries,
+        f"{prefix}_cactus": {
+            algorithm: [round(seconds, 4) for _, seconds in series]
+            for algorithm, series in sorted(cactus_series(records).items())
+        },
+        f"{prefix}_slowdown": {
+            faster: {slower: slowdown.get((slower, faster)) for slower in algorithms}
+            for faster in algorithms
+        },
+        f"{prefix}_both_fail": {
+            right: {left: both_fail[(left, right)] for left in algorithms}
+            for right in algorithms
+        },
+    }
+
+
+def capture_paper_figures(
+    suite_size: int = 18,
+    max_axioms: int = 180,
+    timeout_seconds: float = 8.0,
+    blowup_inputs: int = 10,
+    ablation_inputs: int = 8,
+    structural_inputs: int = 6,
+) -> Dict[str, object]:
+    """The paper's Section 7 evaluation on the synthetic ontology suite.
+
+    * ``table1`` — Table 1, min/max/avg/median full and non-full TGDs per
+      input (:func:`repro.workloads.ontology_suite.suite_statistics`);
+    * ``figure4*`` — Figure 4, ExbDR/SkDR/HypDR and the KAON2-style baseline
+      over the whole suite (see :func:`_figure_blocks` for the four
+      fields), plus ``figure4_unprocessed_by_all``, the inputs no algorithm
+      finished within ``timeout_seconds``;
+    * ``figure5*`` — Figure 5, ExbDR/SkDR/HypDR on the ``blowup_inputs``
+      smallest inputs with their relation arity multiplied by
+      :data:`FIGURE5_ARITY_FACTOR` (KAON2 only handles arity two), plus
+      ``figure5_all_guarded``, whether the blown-up TGDs stayed guarded;
+    * ``ablation_subsumption`` — Section 7.2, derived clauses and timeouts
+      per algorithm on the ``ablation_inputs`` smallest inputs with
+      redundancy elimination on and off;
+    * ``ablation_structural`` — Section 7.2, SkDR/HypDR time and derived
+      clauses on ``structural_inputs`` ontologies rich in nested
+      existentials, before and after KAON2's structural transformation.
+
+    Every run gets the same per-input ``timeout_seconds``; ``status`` is
+    ``timed_out`` when any of them hit it.
+    """
+    from dataclasses import replace
+
+    from ..dl.structural import structural_transformation
+    from ..dl.translate import translate_ontology
+    from ..logic.tgd import all_guarded
+    from ..workloads.blowup import blow_up_arity
+    from ..workloads.ontology_suite import OntologyProfile, generate_input, suite_statistics
+    from .runner import BenchmarkRunner
+    from .stats import inputs_unprocessed_by_all
+
+    wall_start = time.perf_counter()
+    suite = _suite(suite_size, max_axioms)
+    smallest = sorted(suite, key=lambda item: item.size)
+    figure4 = BenchmarkRunner(timeout_seconds, include_kaon2=True).run_suite(suite)
+    blown_up = tuple(
+        replace(
+            item,
+            identifier=f"blowup-{item.identifier}",
+            tgds=blow_up_arity(
+                item.tgds,
+                factor=FIGURE5_ARITY_FACTOR,
+                extra_atom_probability=0.3,
+                seed=index,
+            ),
+        )
+        for index, item in enumerate(smallest[:blowup_inputs])
+    )
+    figure5 = BenchmarkRunner(timeout_seconds, include_kaon2=False).run_suite(blown_up)
+    all_completed = not any(record.timed_out for record in figure4 + figure5)
+
+    def run(tgds, algorithm, **settings):
+        nonlocal all_completed
+        start = time.perf_counter()
+        result = rewrite(
+            tgds,
+            algorithm=algorithm,
+            settings=RewritingSettings(timeout_seconds=timeout_seconds, **settings),
+        )
+        all_completed = all_completed and result.completed
+        return result, time.perf_counter() - start
+
+    subsumption: Dict[str, Dict[str, object]] = {}
+    for algorithm in PAPER_ALGORITHMS:
+        row = dict.fromkeys(
+            ("derived_with", "derived_without", "timeouts_with", "timeouts_without"), 0
+        )
+        for item in smallest[:ablation_inputs]:
+            for suffix, use_subsumption in (("with", True), ("without", False)):
+                result, _ = run(item.tgds, algorithm, use_subsumption=use_subsumption)
+                row[f"derived_{suffix}"] += result.statistics.derived
+                row[f"timeouts_{suffix}"] += int(not result.completed)
+        row["blowup_factor"] = round(row["derived_without"] / max(row["derived_with"], 1), 2)
+        subsumption[algorithm] = row
+
+    nested = [
+        generate_input(
+            OntologyProfile(
+                class_count=20 + 6 * index,
+                property_count=6,
+                axiom_count=40 + 20 * index,
+                existential_fraction=0.35,
+                nested_existential_fraction=0.3,
+                seed=900 + index,
+            ),
+            identifier=f"nested-{index:02d}",
+        )
+        for index in range(structural_inputs)
+    ]
+    structural: Dict[str, Dict[str, object]] = {}
+    for algorithm in ("skdr", "hypdr"):
+        totals = dict.fromkeys(("raw", "transformed"), 0.0)
+        derived = dict.fromkeys(("raw", "transformed"), 0)
+        for item in nested:
+            transformed = translate_ontology(structural_transformation(item.ontology))
+            for kind, tgds in (("raw", item.tgds), ("transformed", transformed)):
+                result, elapsed = run(tgds, algorithm)
+                totals[kind] += elapsed
+                derived[kind] += result.statistics.derived
+        structural[algorithm] = {
+            "seconds_raw": round(totals["raw"], 3),
+            "seconds_transformed": round(totals["transformed"], 3),
+            "derived_raw": derived["raw"],
+            "derived_transformed": derived["transformed"],
+            "speedup": round(totals["raw"] / max(totals["transformed"], 1e-9), 2),
+        }
+
+    return {
+        "wall_seconds": round(time.perf_counter() - wall_start, 6),
+        "status": STATUS_COMPLETED if all_completed else STATUS_TIMED_OUT,
+        "suite_size": suite_size,
+        "timeout_seconds": timeout_seconds,
+        "figure5_arity_factor": FIGURE5_ARITY_FACTOR,
+        "table1": {
+            kind: {key: round(value, 2) for key, value in block.items()}
+            for kind, block in suite_statistics(suite).items()
+        },
+        **_figure_blocks(figure4, "figure4"),
+        "figure4_unprocessed_by_all": len(inputs_unprocessed_by_all(figure4)),
+        **_figure_blocks(figure5, "figure5"),
+        "figure5_all_guarded": all(all_guarded(item.tgds) for item in blown_up),
+        "ablation_subsumption": subsumption,
+        "ablation_structural": structural,
+    }
+
+
 @dataclass(frozen=True)
 class Check:
     """A named gate on one captured payload: ``test`` must return truthy.
@@ -1368,6 +1549,50 @@ _CHASE_CHECKS = (
 )
 
 
+def _separation_grows(label: str, over: str, under: str) -> Check:
+    """Proposition ``label``: ``over`` retains ever more clauses than ``under``.
+
+    The ratio of the two algorithms' retained clauses on the family must be
+    larger at the last ``n`` than at the first.
+    """
+
+    def test(payload: Mapping[str, Any]) -> bool:
+        ratios = [
+            row["clauses_retained"][f"{label}-{over}"]
+            / max(row["clauses_retained"][f"{label}-{under}"], 1)
+            for row in payload["per_n"].values()
+        ]
+        return ratios[-1] > ratios[0]
+
+    return Check(f"per_n: {label}-{over} / {label}-{under} grows with n", test)
+
+
+def _fulldr_derives_most(payload: Mapping[str, Any]) -> bool:
+    rows = payload["inputs"].values()
+    return sum(row["fulldr"]["derived"] for row in rows) > sum(
+        min(row[algorithm]["derived"] for algorithm in PAPER_ALGORITHMS) for row in rows
+    )
+
+
+def _figure4_row_checks(algorithm: str) -> Tuple[Check, ...]:
+    """Figure 4 sanity for one of the paper's algorithms."""
+
+    def row(payload: Mapping[str, Any]) -> Mapping[str, Any]:
+        return payload["figure4"][algorithm]
+
+    return (
+        Check(
+            f"figure4.{algorithm}.processed_inputs >= failed_inputs",
+            lambda payload: row(payload)["processed_inputs"]
+            >= row(payload)["failed_inputs"],
+        ),
+        Check(
+            f"figure4.{algorithm}.max_blowup < 20",
+            lambda payload: row(payload)["max_blowup"] < 20,
+        ),
+    )
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One recorded perf scenario: how to capture it and what must hold.
@@ -1391,14 +1616,48 @@ class Scenario:
 #: ``scenarios=`` parameter of :func:`capture_perf`) accepts their names
 SCENARIOS: Tuple[Scenario, ...] = (
     Scenario(
-        "separation_families", capture_separation_families, dict(ns=(2, 3), repeats=1)
+        "separation_families",
+        capture_separation_families,
+        dict(ns=(2, 3), repeats=1),
+        (
+            _separation_grows("P5.14", "ExbDR", "SkDR"),
+            _separation_grows("P5.15", "SkDR", "ExbDR"),
+            _separation_grows("P5.20", "SkDR", "HypDR"),
+        ),
     ),
-    Scenario("fulldr_comparison", capture_fulldr_comparison, dict(timeout_seconds=2.0)),
+    Scenario(
+        "fulldr_comparison",
+        capture_fulldr_comparison,
+        dict(timeout_seconds=2.0),
+        (
+            Check(
+                "inputs: FullDR derived > best other derived (summed)",
+                _fulldr_derives_most,
+            ),
+        ),
+    ),
     Scenario(
         "end_to_end",
         capture_end_to_end,
         dict(suite_size=2, max_axioms=24, top_k=1, fact_count=150),
-        _JOIN_PLAN_CHECKS + _FACT_STORE_CHECKS,
+        (
+            # the fixpoint contains its input and, on these recursive
+            # inputs, strictly extends it
+            Check(
+                "rows: output_facts >= input_facts",
+                lambda payload: all(
+                    row["output_facts"] >= row["input_facts"] for row in payload["rows"]
+                ),
+            ),
+            Check(
+                "rows: some output_facts > input_facts",
+                lambda payload: any(
+                    row["output_facts"] > row["input_facts"] for row in payload["rows"]
+                ),
+            ),
+        )
+        + _JOIN_PLAN_CHECKS
+        + _FACT_STORE_CHECKS,
     ),
     Scenario(
         "incremental_updates",
@@ -1498,6 +1757,48 @@ SCENARIOS: Tuple[Scenario, ...] = (
             ),
         ),
     ),
+    Scenario(
+        "paper_figures",
+        capture_paper_figures,
+        dict(
+            suite_size=4,
+            max_axioms=30,
+            timeout_seconds=2.0,
+            blowup_inputs=2,
+            ablation_inputs=2,
+            structural_inputs=1,
+        ),
+        sum((_figure4_row_checks(algorithm) for algorithm in PAPER_ALGORITHMS), ())
+        + (
+            Check(
+                "figure5 algorithms == exbdr, skdr, hypdr",
+                lambda payload: set(payload["figure5"]) == set(PAPER_ALGORITHMS),
+            ),
+            Check(
+                "figure5: some processed_inputs > 0",
+                lambda payload: any(
+                    row["processed_inputs"] > 0 for row in payload["figure5"].values()
+                ),
+            ),
+            _is_true("figure5_all_guarded"),
+            Check(
+                "table1.full.max >= table1.full.min",
+                lambda payload: payload["table1"]["full"]["max"]
+                >= payload["table1"]["full"]["min"],
+            ),
+            _at_least("table1.non_full.max", 1),
+            # disabling redundancy elimination never reduces the derivations
+            # (on the counts: blowup_factor is rounded)
+            Check(
+                "ablation_subsumption: every blowup_factor >= 1",
+                lambda payload: all(
+                    row["derived_without"] >= max(row["derived_with"], 1)
+                    for row in payload["ablation_subsumption"].values()
+                ),
+            ),
+            _truthy("ablation_structural"),
+        ),
+    ),
 )
 
 #: gates on the whole capture; they only hold for an unfiltered one
@@ -1584,10 +1885,20 @@ def capture_perf(
     return payload
 
 
+def default_bench_path(smoke: bool) -> str:
+    """Where a capture of this scale goes unless told otherwise.
+
+    A smoke capture never lands on the committed full-scale trajectory.
+    """
+    return "BENCH_smoke.json" if smoke else "BENCH_rewriting.json"
+
+
 def write_bench_json(
-    payload: Mapping[str, object], path: "str | Path" = "BENCH_rewriting.json"
+    payload: Mapping[str, object], path: "str | Path | None" = None
 ) -> Path:
-    """Persist a capture payload; returns the path written."""
+    """Persist a capture payload (by default to its scale's file); returns the path."""
+    if path is None:
+        path = default_bench_path(payload.get("scale") == "smoke")
     target = Path(path)
     target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return target

@@ -1,24 +1,17 @@
-"""Plain-text report rendering in the shape of the paper's tables and figures.
+"""Plain-text and markdown rendering of a ``repro perf`` capture.
 
-Every benchmark script prints its results through these helpers so that the
-rows and columns line up with the corresponding artefact of the paper
-(Table 1, Figure 4, Table 2, Figure 5) and can be compared side by side in
-EXPERIMENTS.md.  :func:`render_capture` renders a ``repro perf`` capture,
-as text or as markdown, without naming any scenario or field.
+:func:`render_capture` draws every table of the report without naming any
+scenario or field: a scenario's field holding one stats block per key (the
+``paper_figures`` scenario's Table 1, Figures 4-5 and ablations) draws as
+its own table with a column per key, so the paper's metric x algorithm
+tables need no per-figure code; a list of records (Table 2) and a mapping
+of number lists (the cactus series) likewise draw as their own tables.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Dict, List, Mapping, Sequence, Tuple
-
-from .runner import RunRecord
-from .stats import (
-    AlgorithmSummary,
-    both_fail_matrix,
-    cactus_series,
-    pairwise_slowdown_matrix,
-    summarize,
-)
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -38,116 +31,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
             "  ".join(str(cell).ljust(width) for cell, width in zip(row, widths))
         )
     return "\n".join(lines)
-
-
-def table1_report(statistics: Mapping[str, Mapping[str, float]], input_count: int) -> str:
-    """Render the Table 1 "Input GTGDs at a Glance" block."""
-    headers = ["Inputs #", "kind", "Min", "Max", "Avg", "Med"]
-    rows = []
-    for kind, label in (("full", "Full TGDs"), ("non_full", "Non-Full TGDs")):
-        block = statistics[kind]
-        rows.append(
-            [
-                input_count,
-                label,
-                int(block["min"]),
-                int(block["max"]),
-                round(block["avg"], 1),
-                round(block["med"], 1),
-            ]
-        )
-    return "Table 1: Input GTGDs at a Glance\n" + format_table(headers, rows)
-
-
-def figure_summary_report(records: Sequence[RunRecord], title: str) -> str:
-    """Render the per-algorithm statistics block of Figure 4 / Figure 5."""
-    summaries = summarize(records)
-    headers = [
-        "Metric",
-        *[summary.algorithm for summary in summaries],
-    ]
-    metric_rows: List[List[object]] = []
-    metrics: List[Tuple[str, str]] = [
-        ("# of Processed Inputs", "processed_inputs"),
-        ("Max. Processed Input Size", "max_processed_input_size"),
-        ("Max. Output Size", "max_output_size"),
-        ("Max. Size Blowup", "max_blowup"),
-        ("Max. Body Atoms in Output", "max_body_atoms"),
-        ("# Blowup >= 1.5", "blowup_at_least_1_5"),
-        ("Time (s) Min.", "min_time"),
-        ("Time (s) Max.", "max_time"),
-        ("Time (s) Avg.", "avg_time"),
-        ("Time (s) Med.", "median_time"),
-    ]
-    for label, attribute in metrics:
-        row: List[object] = [label]
-        for summary in summaries:
-            row.append(summary.as_dict()[attribute if attribute != "max_blowup" else "max_blowup"])
-        metric_rows.append(row)
-    return f"{title}\n" + format_table(headers, metric_rows)
-
-
-def cactus_report(records: Sequence[RunRecord], points: int = 8) -> str:
-    """Render a textual cactus plot: time needed to process the n fastest inputs."""
-    series = cactus_series(records)
-    lines = ["Cactus plot (inputs processed vs. time in seconds):"]
-    for algorithm, values in sorted(series.items()):
-        if not values:
-            lines.append(f"  {algorithm}: no processed inputs")
-            continue
-        step = max(1, len(values) // points)
-        samples = values[::step]
-        if samples[-1] != values[-1]:
-            samples.append(values[-1])
-        rendered = ", ".join(f"{count}@{time_value:.2f}s" for count, time_value in samples)
-        lines.append(f"  {algorithm}: {rendered}")
-    return "\n".join(lines)
-
-
-def pairwise_report(records: Sequence[RunRecord], factor: float = 10.0) -> str:
-    """Render the "time(Y)/time(X) ≥ 10" and "X and Y both fail" matrices."""
-    slowdown = pairwise_slowdown_matrix(records, factor)
-    failures = both_fail_matrix(records)
-    algorithms = sorted({record.algorithm for record in records})
-    headers = ["Y \\ X"] + algorithms
-    slowdown_rows = []
-    for slower in algorithms:
-        row: List[object] = [slower]
-        for faster in algorithms:
-            row.append("" if slower == faster else slowdown.get((slower, faster), 0))
-        slowdown_rows.append(row)
-    failure_rows = []
-    for left in algorithms:
-        row = [left]
-        for right in algorithms:
-            row.append(failures.get((left, right), 0))
-        failure_rows.append(row)
-    return (
-        f"time(Y)/time(X) >= {factor:g}\n"
-        + format_table(headers, slowdown_rows)
-        + "\n\nX and Y both fail\n"
-        + format_table(headers, failure_rows)
-    )
-
-
-def end_to_end_report(rows: Sequence[Mapping[str, object]]) -> str:
-    """Render the Table 2 "Computing the Fixpoint of the Rewriting" block."""
-    headers = ["Input", "# Rules", "# Input Facts", "# Output Facts", "Ratio", "Time (s)"]
-    table_rows = []
-    for row in rows:
-        table_rows.append(
-            [
-                row["input_id"],
-                row["rule_count"],
-                row["input_facts"],
-                row["output_facts"],
-                round(row["output_facts"] / max(1, row["input_facts"]), 1),
-                round(row["elapsed_seconds"], 2),
-            ]
-        )
-    return "Table 2: Computing the Fixpoint of the Rewriting\n" + format_table(
-        headers, table_rows
-    )
 
 
 Table = Tuple[str, Sequence[str], List[List[object]]]
@@ -182,6 +65,29 @@ def _is_block(value: object) -> bool:
     )
 
 
+def _is_block_map(value: object) -> bool:
+    """A mapping of stats blocks, e.g. one summary row per algorithm."""
+    return (
+        isinstance(value, Mapping)
+        and bool(value)
+        and all(_is_block(item) for item in value.values())
+    )
+
+
+def _rows_table(title: str, records: Sequence[Mapping[str, object]]) -> Table:
+    """A table with one row per record, e.g. Table 2's ``end_to_end.rows``."""
+    keys: List[str] = []
+    for record in records:
+        keys.extend(key for key in record if key not in keys)
+    return title, keys, [[_cell(record.get(key, "–")) for key in keys] for record in records]
+
+
+def _series_table(title: str, series: Mapping[str, Sequence[object]]) -> Table:
+    """A column per number list (e.g. a cactus series); row x holds the x-th values."""
+    ranks = zip_longest(*series.values(), fillvalue="–")
+    return title, ["rank", *series], [[x, *row] for x, row in enumerate(ranks, 1)]
+
+
 def _columns_table(title: str, columns: Mapping[str, Mapping[str, object]]) -> Table:
     """A table with one column per entry and one row per key any entry has."""
     keys: List[str] = []
@@ -199,8 +105,11 @@ def _capture_tables(payload: Mapping[str, object]) -> Tuple[str, List[Table]]:
 
     Nothing here names a scenario or a field: the overview lists every
     scenario's wall time, status and baseline comparison; each scenario then
-    gets a table of its scalar fields, and each stats block (a mapping of
-    counters, e.g. ``fact_store``) one table with a column per scenario
+    gets a table of its scalar fields, followed by one table per field that
+    maps keys to stats blocks (a column per key, e.g. ``paper_figures.figure4``
+    with a column per algorithm), lists records or maps keys to number lists,
+    and each stats block (a mapping of
+    counters, e.g. ``fact_store``) gets one table with a column per scenario
     that records it.  Failing checks
     (:func:`repro.harness.perfcapture.failed_checks`) follow the overview.
     """
@@ -245,12 +154,25 @@ def _capture_tables(payload: Mapping[str, object]) -> Tuple[str, List[Table]]:
     blocks: Dict[str, Dict[str, Mapping[str, object]]] = {}
     for name, scenario in scenarios.items():
         fields = []
+        own: List[Table] = []
         for key, value in scenario.items():
             if _is_block(value):
                 blocks.setdefault(key, {})[name] = value
+            elif _is_block_map(value):
+                own.append(_columns_table(f"{name}.{key}", value))
+            elif value and isinstance(value, list) and all(
+                isinstance(item, Mapping) for item in value
+            ):
+                own.append(_rows_table(f"{name}.{key}", value))
+            elif value and isinstance(value, Mapping) and all(
+                isinstance(item, list) and all(isinstance(n, (int, float)) for n in item)
+                for item in value.values()
+            ):
+                own.append(_series_table(f"{name}.{key}", value))
             elif key not in _OVERVIEW_FIELDS:
                 fields.append([key, _cell(value)])
         tables.append((name, ["field", "value"], fields))
+        tables.extend(own)
     tables.extend(_columns_table(key, columns) for key, columns in blocks.items())
     interning = payload.get("interning")
     if isinstance(interning, Mapping) and interning:
@@ -284,14 +206,3 @@ def render_capture(payload: Mapping[str, object], markdown: bool = False) -> str
         )
         parts.append("\n".join(lines))
     return "\n\n".join(parts) + "\n"
-
-
-def full_figure_report(records: Sequence[RunRecord], title: str) -> str:
-    """The complete Figure 4/5-style report: summary, cactus plot, pairwise matrices."""
-    return "\n\n".join(
-        [
-            figure_summary_report(records, title),
-            cactus_report(records),
-            pairwise_report(records),
-        ]
-    )

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dl.kaon2_baseline import Kaon2Baseline, UnsupportedArityError
-from ..logic.tgd import TGD
-from ..rewriting.base import RewritingResult, RewritingSettings
+from ..rewriting.base import RewritingSettings
 from ..rewriting.rewriter import rewrite
 from ..workloads.ontology_suite import BenchmarkInput
 
@@ -139,7 +138,7 @@ class BenchmarkRunner:
 
 def run_perf_capture(
     smoke: bool = False,
-    output_path: "str | None" = "BENCH_rewriting.json",
+    output_path: "str | None" = None,
     baseline: "Optional[dict]" = None,
     scenarios: "Optional[Sequence[str]]" = None,
 ):
@@ -148,8 +147,9 @@ def run_perf_capture(
     The single composition of :mod:`repro.harness.perfcapture` used by the
     CLI (``python -m repro perf``) and available programmatically: capture
     (optionally only the ``scenarios`` named — ``perf --scenario``), compare
-    against a previously recorded payload, write the JSON (unless
-    ``output_path`` is ``None``), return the payload.
+    against a previously recorded payload, write the JSON to ``output_path``
+    (by default the scale's own file, :func:`default_bench_path`), return
+    the payload.
     """
     from .perfcapture import (
         capture_perf,
@@ -164,26 +164,5 @@ def run_perf_capture(
         status_changes = compare_scenario_statuses(payload, baseline)
         if status_changes:
             payload["scenario_status_vs_baseline"] = status_changes
-    if output_path is not None:
-        write_bench_json(payload, output_path)
+    write_bench_json(payload, output_path)
     return payload
-
-
-def run_on_tgds(
-    tgds: Iterable[TGD],
-    algorithm: str,
-    timeout_seconds: float = 20.0,
-    settings: Optional[RewritingSettings] = None,
-) -> Tuple[RewritingResult, float]:
-    """Run one algorithm on raw TGDs; return the result and elapsed seconds."""
-    base = settings or RewritingSettings()
-    effective = RewritingSettings(
-        use_subsumption=base.use_subsumption,
-        exact_subsumption=base.exact_subsumption,
-        use_lookahead=base.use_lookahead,
-        timeout_seconds=timeout_seconds,
-        max_clauses=base.max_clauses,
-    )
-    start = time.monotonic()
-    result = rewrite(tuple(tgds), algorithm=algorithm, settings=effective)
-    return result, time.monotonic() - start

@@ -1,17 +1,11 @@
 """Tests for the benchmark harness: runner, statistics, and reports."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.harness.runner import BenchmarkRunner, RunRecord, run_on_tgds
-from repro.harness.reports import (
-    cactus_report,
-    end_to_end_report,
-    figure_summary_report,
-    format_table,
-    full_figure_report,
-    pairwise_report,
-    table1_report,
-)
+from repro.harness.runner import BenchmarkRunner, RunRecord
+from repro.harness.reports import format_table, render_capture
 from repro.harness.stats import (
     both_fail_matrix,
     cactus_series,
@@ -19,7 +13,7 @@ from repro.harness.stats import (
     pairwise_slowdown_matrix,
     summarize,
 )
-from repro.workloads.ontology_suite import generate_suite, suite_statistics
+from repro.workloads.ontology_suite import generate_suite
 
 
 @pytest.fixture(scope="module")
@@ -55,12 +49,6 @@ class TestRunner:
             max_body_atoms=0, elapsed_seconds=0.0, timed_out=False,
         )
         assert empty.blowup == 0.0
-
-    def test_run_on_tgds(self, running):
-        tgds, _ = running
-        result, elapsed = run_on_tgds(tgds, "hypdr", timeout_seconds=10.0)
-        assert result.completed
-        assert elapsed >= 0.0
 
     def test_timeout_marks_record(self, mini_suite):
         runner = BenchmarkRunner(timeout_seconds=0.0, include_kaon2=False)
@@ -125,26 +113,81 @@ class TestReports:
         assert len(lines) == 4
         assert lines[0].startswith("col")
 
+    def test_paper_figures_render_as_metric_by_algorithm_tables(self):
+        from repro.harness.perfcapture import select_scenarios
+
+        (scenario,) = select_scenarios(["paper_figures"])
+        payload = {
+            "scale": "smoke",
+            "wall_seconds": 1.0,
+            "scenario_filter": ["paper_figures"],
+            "scenarios": {"paper_figures": scenario.run(smoke=True)},
+        }
+        lines = render_capture(payload).splitlines()
+        # Figure 4: a row per metric, a column per algorithm (KAON2 included)
+        at = lines.index("paper_figures.figure4")
+        assert lines[at + 1].split() == ["field", "exbdr", "hypdr", "kaon2", "skdr"]
+        assert lines[at + 3].split()[0] == "processed_inputs"
+        for title in (
+            "paper_figures.table1",
+            "paper_figures.figure5",
+            "paper_figures.figure4_slowdown",
+            "paper_figures.ablation_subsumption",
+            "paper_figures.ablation_structural",
+        ):
+            assert title in lines
+        markdown = render_capture(payload, markdown=True)
+        assert "### paper_figures.figure4\n\n| field | exbdr | hypdr | kaon2 | skdr |" in markdown
+        assert "### paper_figures.figure5\n\n| field | exbdr | hypdr | skdr |" in markdown
+
+    @staticmethod
+    def _tables(fields):
+        """The rendered ``(title, header, first row)`` of a one-scenario capture."""
+        payload = {
+            "scale": "smoke",
+            "wall_seconds": 1.0,
+            "scenario_filter": [],
+            "scenarios": {"figures": {"wall_seconds": 1.0, **fields}},
+        }
+        tables = {}
+        heading, *blocks = render_capture(payload).split("\n\n")
+        for block in blocks:
+            title, header, _, *rows = block.splitlines()
+            tables[title] = (header.split(), rows[0].split() if rows else [])
+        return tables
+
     def test_table1_report(self, mini_suite):
-        text = table1_report(suite_statistics(mini_suite), len(mini_suite))
-        assert "Table 1" in text
-        assert "Full TGDs" in text and "Non-Full TGDs" in text
+        from repro.workloads.ontology_suite import suite_statistics
+
+        tables = self._tables({"table1": suite_statistics(mini_suite)})
+        header, first = tables["figures.table1"]
+        assert header == ["field", "full", "non_full"]
+        assert first[0] == "min"
 
     def test_figure_summary_report(self, mini_records):
-        text = figure_summary_report(mini_records, "Figure 4 (test)")
-        assert "Figure 4 (test)" in text
-        assert "# of Processed Inputs" in text
-        assert "hypdr" in text
+        from repro.harness.perfcapture import _figure_blocks
+
+        tables = self._tables({"figure4": _figure_blocks(mini_records, "figure4")["figure4"]})
+        header, first = tables["figures.figure4"]
+        assert header == ["field", "exbdr", "hypdr", "kaon2", "skdr"]
+        assert first[0] == "processed_inputs"
+        assert all(int(count) >= 0 for count in first[1:])
 
     def test_cactus_and_pairwise_reports(self, mini_records):
-        assert "Cactus plot" in cactus_report(mini_records)
-        pairwise = pairwise_report(mini_records)
-        assert "time(Y)/time(X)" in pairwise
-        assert "both fail" in pairwise
+        from repro.harness.perfcapture import _figure_blocks
 
-    def test_full_figure_report_combines_sections(self, mini_records):
-        text = full_figure_report(mini_records, "Figure")
-        assert text.count("\n\n") >= 2
+        blocks = _figure_blocks(mini_records, "figure4")
+        del blocks["figure4"]
+        tables = self._tables(blocks)
+        # cactus plot: the x-th row holds each algorithm's x-th fastest time
+        header, first = tables["figures.figure4_cactus"]
+        assert header == ["rank", "exbdr", "hypdr", "kaon2", "skdr"]
+        assert first[0] == "1"
+        # the pairwise time(Y)/time(X) >= 10 and both-fail matrices
+        for title in ("figures.figure4_slowdown", "figures.figure4_both_fail"):
+            header, first = tables[title]
+            assert header == ["field", "exbdr", "hypdr", "kaon2", "skdr"]
+            assert first[0] == "exbdr"
 
     def test_end_to_end_report(self):
         rows = [
@@ -153,13 +196,12 @@ class TestReports:
                 "rule_count": 10,
                 "input_facts": 100,
                 "output_facts": 450,
-                "elapsed_seconds": 0.5,
+                "wall_seconds": 0.5,
             }
         ]
-        text = end_to_end_report(rows)
-        assert "Table 2" in text
-        assert "00001" in text
-        assert "4.5" in text
+        header, first = self._tables({"rows": rows})["figures.rows"]
+        assert header == ["input_id", "rule_count", "input_facts", "output_facts", "wall_seconds"]
+        assert first == ["00001", "10", "100", "450", "0.5"]
 
 
 class TestPerfCapture:
@@ -498,6 +540,51 @@ class TestDeclaredChecks:
         assert ("capture", "interning.overall.hit_rate > 0.5") in failed
         assert ("capture", "schema == bench-rewriting/v1") not in failed
 
+    def test_paper_claims_fail_when_the_data_contradicts_them(self):
+        from repro.harness.perfcapture import failed_checks
+
+        def retained(exbdr, skdr):
+            return {"clauses_retained": {"P5.14-ExbDR": exbdr, "P5.14-SkDR": skdr}}
+
+        payload = {
+            "scenario_filter": ["end_to_end", "separation_families"],
+            "scenarios": {
+                # ExbDR's excess over SkDR shrinks from n=2 to n=3
+                "separation_families": {
+                    "per_n": {"2": retained(12, 6), "3": retained(12, 9)}
+                },
+                # the fixpoint adds nothing to its input
+                "end_to_end": {"rows": [{"input_facts": 5, "output_facts": 5}]},
+            },
+        }
+        failed = failed_checks(payload)
+        assert ("separation_families", "per_n: P5.14-ExbDR / P5.14-SkDR grows with n") in failed
+        assert ("end_to_end", "rows: some output_facts > input_facts") in failed
+        assert ("end_to_end", "rows: output_facts >= input_facts") not in failed
+
+    def test_paper_figure_claims_fail_when_the_data_contradicts_them(self):
+        import copy
+        import json
+
+        from repro.harness.perfcapture import failed_checks
+
+        smoke = json.loads((REPO_ROOT / "BENCH_smoke.json").read_text(encoding="utf-8"))
+        figures = copy.deepcopy(smoke["scenarios"]["paper_figures"])
+        payload = {"scenario_filter": ["paper_figures"], "scenarios": {"paper_figures": figures}}
+        assert failed_checks(payload) == []
+
+        figures["figure4"]["exbdr"]["max_blowup"] = 20
+        figures["figure5_all_guarded"] = False
+        row = figures["ablation_subsumption"]["skdr"]
+        row["derived_without"] = row["derived_with"] - 1
+        figures["ablation_structural"] = {}
+        assert sorted(failed_checks(payload)) == [
+            ("paper_figures", "ablation_structural"),
+            ("paper_figures", "ablation_subsumption: every blowup_factor >= 1"),
+            ("paper_figures", "figure4.exbdr.max_blowup < 20"),
+            ("paper_figures", "figure5_all_guarded is True"),
+        ]
+
     def test_perf_exits_4_and_names_failed_checks_in_both_renders(
         self, monkeypatch, tmp_path, capsys
     ):
@@ -537,3 +624,31 @@ class TestDeclaredChecks:
         output = tmp_path / "bench.json"
         assert main(["perf", "--smoke", "-o", str(output)]) == 0
         assert failed_checks(json.loads(output.read_text(encoding="utf-8"))) == []
+
+    def test_smoke_run_without_output_leaves_the_full_capture_alone(
+        self, monkeypatch, tmp_path
+    ):
+        import json
+
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        committed = tmp_path / "BENCH_rewriting.json"
+        committed.write_text('{"scale": "default"}\n', encoding="utf-8")
+        assert main(["perf", "--smoke", "--scenario", "separation_families"]) == 0
+        assert committed.read_text(encoding="utf-8") == '{"scale": "default"}\n'
+        smoke = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
+        assert smoke["scale"] == "smoke"
+
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+@pytest.mark.parametrize("name", ["BENCH_rewriting.json", "BENCH_smoke.json"])
+def test_committed_capture_passes_every_check(name):
+    import json
+
+    from repro.harness.perfcapture import failed_checks
+
+    payload = json.loads((REPO_ROOT / name).read_text(encoding="utf-8"))
+    assert failed_checks(payload) == []
